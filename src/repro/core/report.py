@@ -74,11 +74,9 @@ def campaign_summary(result: CampaignResult) -> str:
             f"({sch.get('schedules_seen', 0)} distinct), "
             f"frontier {sch.get('frontier', 0)}, "
             f"{sch.get('decision_nodes', 0)} decision node(s)")
-        if sch.get("divergences") or sch.get("fallbacks"):
+        if sch.get("divergences"):
             lines.append(
-                f"  replay fidelity  : {sch.get('divergences', 0)} "
-                f"divergence(s), {sch.get('fallbacks', 0)} quiesce "
-                f"fallback(s)")
+                f"  replay fidelity  : {sch['divergences']} divergence(s)")
     if result.degraded_iterations:
         lines.append(f"degraded iterations: {result.degraded_iterations} "
                      f"(coverage-only; trace harvest failed)")

@@ -163,8 +163,6 @@ class RunRecord:
     schedule_decisions: tuple = ()
     #: prescribed choices that could not be satisfied (replay diverged)
     schedule_divergences: int = 0
-    #: free decisions taken without provable quiesce (timeout fallback)
-    schedule_fallbacks: int = 0
 
     @property
     def ok(self) -> bool:
@@ -401,5 +399,4 @@ class TestRunner:
             schedule_decisions=(controller.decision_records()
                                 if controller else ()),
             schedule_divergences=controller.divergences if controller else 0,
-            schedule_fallbacks=controller.fallbacks if controller else 0,
         )

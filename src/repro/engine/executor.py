@@ -89,7 +89,6 @@ class ExecOutcome:
     #: canonical decision records feeding the ScheduleTree
     schedule_decisions: tuple = ()
     schedule_divergences: int = 0
-    schedule_fallbacks: int = 0
 
 
 def outcome_from_record(rec: RunRecord, retries: int = 0) -> ExecOutcome:
@@ -111,7 +110,6 @@ def outcome_from_record(rec: RunRecord, retries: int = 0) -> ExecOutcome:
         schedule=rec.schedule,
         schedule_decisions=rec.schedule_decisions,
         schedule_divergences=rec.schedule_divergences,
-        schedule_fallbacks=rec.schedule_fallbacks,
     )
 
 

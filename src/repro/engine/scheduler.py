@@ -125,8 +125,7 @@ class Scheduler:
         if self.schedules is None:
             return
         self.schedules.note(testcase, outcome.schedule_decisions,
-                            divergences=outcome.schedule_divergences,
-                            fallbacks=outcome.schedule_fallbacks)
+                            divergences=outcome.schedule_divergences)
 
     def _check_divergence(self, expect: Optional[tuple[list, int]],
                           trace: TraceResult) -> None:

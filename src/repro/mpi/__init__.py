@@ -23,7 +23,7 @@ from .launch import ProcSet, focus_launch, mpiexec
 from .runtime import Job, JobResult, RankOutcome, run_job
 from .status import (ANY_SOURCE, ANY_TAG, Request, Status, waitall, waitany)
 from .topology import CartComm, cart_create, dims_create
-from .waitgraph import DeadlockInfo, WaitForGraph, detect_deadlock, find_cycle
+from .waitgraph import DeadlockInfo, detect_deadlock, find_cycle
 
 __all__ = [
     "ANY_SOURCE", "ANY_TAG", "BAND", "BOR", "BXOR", "CartComm",
@@ -31,7 +31,7 @@ __all__ = [
     "MAXLOC", "MIN", "MINLOC", "MpiAbort", "MpiContext", "MpiError",
     "MpiInternalError", "MpiInvalidRank", "MpiShutdown", "MpiTimeout",
     "ProcSet", "PROD", "RankOutcome", "ReduceOp", "Request", "Status", "SUM",
-    "WaitForGraph", "cart_create", "detect_deadlock", "dims_create",
+    "cart_create", "detect_deadlock", "dims_create",
     "find_cycle", "focus_launch", "mpiexec", "run_job", "run_spmd", "waitall",
     "waitany",
 ]

@@ -2,18 +2,24 @@
 
 Every rank owns one :class:`Mailbox`.  Senders deposit messages directly
 into the destination's mailbox (eager/buffered protocol: a send never
-blocks).  Receivers block until a message matching ``(source, tag)`` is
-available, honouring ``ANY_SOURCE`` / ``ANY_TAG`` wildcards and FIFO
-ordering per (source, tag) pair — the MPI non-overtaking rule.
+blocks).  Receivers match ``(source, tag)`` honouring ``ANY_SOURCE`` /
+``ANY_TAG`` wildcards and FIFO ordering per (source, tag) pair — the
+MPI non-overtaking rule.  Messages are kept in send order (ranks run one
+at a time under the job's baton), so the earliest match is the first.
 
-All blocking waits poll the job-wide *stop event* so that a watchdog
-timeout or a crash on a sibling rank unwinds blocked ranks promptly via
-:class:`~repro.mpi.errors.MpiShutdown`.
+A receive, probe or waitany that finds nothing parks its rank on the
+:class:`~repro.mpi.baton.Baton` with a
+:class:`~repro.mpi.waitgraph.RecvWait`; the baton wakes it when a
+matching message has arrived, or to unwind with
+:class:`~repro.mpi.errors.MpiShutdown` once the job is stopping.  A poll
+(``Iprobe``, ``Request.test``) never parks: an empty one hands the baton
+on so other ranks can make progress.
 
 Two optional collaborators plug in here (both ``None`` in plain runs):
 
-* a :class:`~repro.mpi.waitgraph.WaitForGraph` — indefinite receives
-  register what they wait for, enabling structural deadlock detection;
+* a match policy (:class:`~repro.schedules.ScheduleController`) —
+  consuming waits on ``ANY_SOURCE`` become decision points, and the
+  policy picks the match and the level it may be taken at;
 * a :class:`~repro.faults.injector.FaultInjector` — ``deposit`` routes
   through its send hook (delay/drop/corrupt), and both sides count as
   MPI calls for the crash/jitter fault models.
@@ -21,141 +27,139 @@ Two optional collaborators plug in here (both ``None`` in plain runs):
 
 from __future__ import annotations
 
-import itertools
 import threading
-import time
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
+from .baton import RUNNABLE, Baton
 from .errors import MpiShutdown
 from .status import ANY_SOURCE, ANY_TAG, Message, Status
-from .waitgraph import RecvWait, WaitForGraph
+from .waitgraph import RecvWait, Spec
 
-# How long a blocked receiver sleeps between stop-event checks.  Small
-# enough that teardown is prompt; the condition variable wakes receivers
-# immediately on a matching send, so this only bounds *teardown* latency.
-_POLL_INTERVAL = 0.05
 
-# Poll interval while a scheduled wildcard receive is parked at a
-# decision point: the controller's quiesce check needs two *consecutive*
-# stable observations, so re-polling fast keeps decision latency low.
-_SCHED_POLL = 0.01
-
-_send_seq = itertools.count()
+def matches(m: Message, source: int, tag: int,
+            tag_range: Optional[tuple[int, int]] = None) -> bool:
+    """Does ``m`` match the receive pattern?  ``tag_range=(lo, hi)``
+    implements a communicator-scoped ANY_TAG (``lo <= tag < hi``)."""
+    if source != ANY_SOURCE and m.source != source:
+        return False
+    if tag != ANY_TAG:
+        return m.tag == tag
+    return tag_range is None or tag_range[0] <= m.tag < tag_range[1]
 
 
 class Mailbox:
     """Unbounded mailbox for one receiving rank."""
 
     def __init__(self, owner_rank: int, stop_event: threading.Event,
-                 waitgraph: Optional[WaitForGraph] = None,
+                 baton: Optional[Baton] = None,
                  injector: Optional[Any] = None,
                  policy: Optional[Any] = None):
         self.owner_rank = owner_rank
         self._stop = stop_event
-        self._waitgraph = waitgraph
+        #: without a baton (a standalone mailbox) nothing can arrive while
+        #: the caller waits, so every receive is a poll
+        self._baton = baton
         self._injector = injector
-        #: injectable match policy (repro.schedules.ScheduleController):
-        #: indefinite ANY_SOURCE receives route their match step through
-        #: it, turning each into a controllable decision point.  ``None``
-        #: (the default) keeps the classic eager earliest-send matching.
         self._policy = policy
         self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
-        self._messages: list[Message] = []
+        self.messages: list[Message] = []
 
     def deposit(self, source: int, tag: int, payload: Any) -> None:
-        """Called from the *sender's* thread: enqueue and wake receivers."""
+        """Called from the *sender's* thread: enqueue the message."""
         if self._injector is not None:
             payload, deliver = self._injector.on_send(
                 source, self.owner_rank, tag, payload)
             if not deliver:
                 return
-        msg = Message(source=source, tag=tag, payload=payload, seq=next(_send_seq))
-        with self._cond:
-            self._messages.append(msg)
-            self._cond.notify_all()
+        with self._lock:
+            self.messages.append(Message(source=source, tag=tag,
+                                         payload=payload))
 
     def _match_index(self, source: int, tag: int,
                      tag_range: Optional[tuple[int, int]] = None) -> Optional[int]:
-        """Index of the earliest (by send order) matching message.
+        """Index of the earliest matching message."""
+        for i, m in enumerate(self.messages):
+            if matches(m, source, tag, tag_range):
+                return i
+        return None
 
-        ``tag_range=(lo, hi)`` implements a communicator-scoped ANY_TAG:
-        match any tag with ``lo <= tag < hi``.
+    def wait_match(self, specs: Sequence[Spec], op: str, consume: bool = True,
+                   poll: bool = False) -> tuple[int, Optional[tuple[int, int]]]:
+        """Hold until one of ``specs`` can match.
+
+        Returns ``(k, pin)``: the index of the first spec that matches
+        and, at a schedule decision point, the ``(source, tag)`` pair the
+        controller chose (``None`` otherwise).  Consuming waits whose
+        specs are all ``ANY_SOURCE`` are decision points when a match
+        policy is attached.  ``poll=True`` never parks: an empty poll
+        hands the baton on once and raises :class:`TimeoutError`.
         """
-        best: Optional[int] = None
-        best_seq = None
-        for i, m in enumerate(self._messages):
-            if source != ANY_SOURCE and m.source != source:
-                continue
-            if tag != ANY_TAG:
-                if m.tag != tag:
-                    continue
-            elif tag_range is not None and not (tag_range[0] <= m.tag < tag_range[1]):
-                continue
-            if best_seq is None or m.seq < best_seq:
-                best, best_seq = i, m.seq
-        return best
+        rank = self.owner_rank
+        policy = (self._policy if consume and not poll
+                  and all(s[0] == ANY_SOURCE for s in specs) else None)
+        level, wait = RUNNABLE, None
+        while True:
+            with self._lock:
+                if policy is not None:
+                    cands = policy.candidates(self.messages, specs)
+                    pin = policy.decide(rank, cands, level)
+                    if pin is not None:
+                        return cands[pin][1], pin
+                else:
+                    for k, spec in enumerate(specs):
+                        if self._match_index(*spec) is not None:
+                            return k, None
+            if self._stop.is_set():
+                raise MpiShutdown(f"rank {rank} interrupted in {op}")
+            if poll or self._baton is None:
+                if self._baton is not None:
+                    self._baton.poll(rank)
+                raise TimeoutError("no matching message")
+            if wait is None:
+                wait = RecvWait(rank=rank, op=op, specs=tuple(specs))
+                if policy is not None:
+                    def ready() -> int:
+                        return policy.level(
+                            rank, policy.candidates(self.messages, specs))
+                else:
+                    def ready() -> int:
+                        return int(any(self._match_index(*s) is not None
+                                       for s in specs))
+            level = self._baton.block(rank, wait, ready)
 
     def receive(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
                 timeout: Optional[float] = None,
                 tag_range: Optional[tuple[int, int]] = None) -> tuple[Any, Status]:
-        """Block until a matching message arrives; return (payload, status).
+        """Wait for a matching message and consume it; return (payload, status).
 
-        ``timeout=None`` blocks until match or job shutdown.  A finite
-        timeout raises :class:`TimeoutError` if nothing matched in time —
-        used by ``Request.test()`` probes, never by plain ``Recv``.
+        ``timeout=None`` waits until a match or job shutdown.  Any finite
+        timeout makes the receive a poll (``Request.test``): nothing can
+        arrive while the caller holds the baton, so it raises
+        :class:`TimeoutError` at once when nothing matches.
         """
         if self._injector is not None:
             self._injector.on_call(self.owner_rank)
-        deadline = None if timeout is None else time.monotonic() + timeout
-        registered = False
-        scheduled = (self._policy is not None and timeout is None
-                     and source == ANY_SOURCE)
-        try:
-            with self._cond:
-                while True:
-                    if scheduled:
-                        # lazy matching: wildcard receives are decision
-                        # points; the controller picks (or defers) the match
-                        idx = self._policy.select(self, source, tag, tag_range)
-                    else:
-                        idx = self._match_index(source, tag, tag_range)
-                    if idx is not None:
-                        msg = self._messages.pop(idx)
-                        return msg.payload, Status(source=msg.source, tag=msg.tag)
-                    if self._stop.is_set():
-                        raise MpiShutdown(
-                            f"rank {self.owner_rank} interrupted while receiving "
-                            f"(source={source}, tag={tag})")
-                    if deadline is not None:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            raise TimeoutError("no matching message")
-                        self._cond.wait(min(_POLL_INTERVAL, remaining))
-                    else:
-                        # an indefinite wait: tell the deadlock detector
-                        # what would wake us before going to sleep
-                        if self._waitgraph is not None and not registered:
-                            self._waitgraph.block(self.owner_rank, RecvWait(
-                                rank=self.owner_rank, source=source, tag=tag,
-                                tag_range=tag_range))
-                            registered = True
-                        self._cond.wait(_SCHED_POLL if scheduled
-                                        else _POLL_INTERVAL)
-        finally:
-            if registered:
-                self._waitgraph.unblock(self.owner_rank)
+        spec = (source, tag, tag_range)
+        _, pin = self.wait_match([spec], "Recv", poll=timeout is not None)
+        with self._lock:
+            idx = (self._match_index(pin[0], pin[1]) if pin is not None
+                   else self._match_index(*spec))
+            msg = self.messages.pop(idx)
+        return msg.payload, Status(source=msg.source, tag=msg.tag)
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
               tag_range: Optional[tuple[int, int]] = None) -> Optional[Status]:
-        """Non-destructive match test (``MPI_Iprobe`` analog)."""
+        """Non-destructive match test (``MPI_Iprobe`` analog); an empty
+        probe hands the baton on."""
         with self._lock:
             idx = self._match_index(source, tag, tag_range)
-            if idx is None:
-                return None
-            m = self._messages[idx]
-            return Status(source=m.source, tag=m.tag)
+            m = self.messages[idx] if idx is not None else None
+        if m is None:
+            if self._baton is not None:
+                self._baton.poll(self.owner_rank)
+            return None
+        return Status(source=m.source, tag=m.tag)
 
     def pending_count(self) -> int:
         with self._lock:
-            return len(self._messages)
+            return len(self.messages)

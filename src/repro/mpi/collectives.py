@@ -10,22 +10,20 @@ then reads the published result.
 This centralizes barrier/bcast/reduce/gather/scatter/alltoall logic: each
 collective is just a combine function over the gathered contributions.
 
-Ranks that wait inside a rendezvous register a
-:class:`~repro.mpi.waitgraph.CollectiveWait` so the deadlock detector can
-see which members are still missing; an attached fault injector gets a
-hook per collective entry (call accounting, delay, crash).
+Ranks that arrive before the last one park on the job's baton with a
+:class:`~repro.mpi.waitgraph.CollectiveWait`, so the deadlock diagnosis
+can see which members are still missing; an attached fault injector
+gets a hook per collective entry (call accounting, delay, crash).
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any, Callable, Optional
 
+from .baton import Baton
 from .errors import MpiInternalError, MpiShutdown
-from .waitgraph import CollectiveWait, WaitForGraph
-
-_POLL_INTERVAL = 0.05
+from .waitgraph import CollectiveWait
 
 
 class Rendezvous:
@@ -35,74 +33,53 @@ class Rendezvous:
         self.size = size
         self.op_name = op_name
         self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
         self._contribs: dict[int, Any] = {}
-        self._result: Any = None
-        self._ready = False
+        self.result: Any = None
+        self.ready = False
+
+    def arrived(self) -> set[int]:
+        with self._lock:
+            return set(self._contribs)
 
     def arrive(self, local_rank: int, contribution: Any,
                combine: Callable[[dict[int, Any]], Any],
-               stop_event: threading.Event,
-               op_name: str,
-               waitgraph: Optional[WaitForGraph] = None,
-               global_rank: Optional[int] = None,
-               group: Optional[tuple[int, ...]] = None) -> Any:
-        """Deposit this rank's contribution and wait for the result.
+               op_name: str) -> None:
+        """Deposit this rank's contribution; the last arriver combines.
 
         ``combine`` maps {local_rank: contribution} to the shared result.
         The result is shared: per-rank slicing (scatter, gather-to-root)
         happens in the caller.
         """
-        registered = False
-        try:
-            with self._cond:
-                if op_name != self.op_name:
-                    raise MpiInternalError(
-                        f"collective mismatch: rank {local_rank} called {op_name} "
-                        f"but the in-flight operation is {self.op_name}")
-                if local_rank in self._contribs:
-                    raise MpiInternalError(
-                        f"rank {local_rank} arrived twice at {self.op_name}")
-                self._contribs[local_rank] = contribution
-                if len(self._contribs) == self.size:
-                    self._result = combine(self._contribs)
-                    self._ready = True
-                    self._cond.notify_all()
-                else:
-                    if (waitgraph is not None and global_rank is not None
-                            and group is not None):
-                        waitgraph.block(global_rank, CollectiveWait(
-                            rank=global_rank, op_name=self.op_name,
-                            rendezvous=self, group=group))
-                        registered = True
-                    while not self._ready:
-                        if stop_event.is_set():
-                            raise MpiShutdown(
-                                f"rank {local_rank} interrupted in {self.op_name}")
-                        self._cond.wait(_POLL_INTERVAL)
-                return self._result
-        finally:
-            if registered:
-                waitgraph.unblock(global_rank)
+        with self._lock:
+            if op_name != self.op_name:
+                raise MpiInternalError(
+                    f"collective mismatch: rank {local_rank} called {op_name} "
+                    f"but the in-flight operation is {self.op_name}")
+            if local_rank in self._contribs:
+                raise MpiInternalError(
+                    f"rank {local_rank} arrived twice at {self.op_name}")
+            self._contribs[local_rank] = contribution
+            if len(self._contribs) == self.size:
+                self.result = combine(self._contribs)
+                self.ready = True
 
 
 class CollectiveEngine:
     """Creates/locates rendezvous instances keyed by (comm id, call seq)."""
 
-    def __init__(self, stop_event: threading.Event,
-                 waitgraph: Optional[WaitForGraph] = None,
+    def __init__(self, stop_event: threading.Event, baton: Baton,
                  injector: Optional[Any] = None):
         self._stop = stop_event
-        self._waitgraph = waitgraph
+        self._baton = baton
         self._injector = injector
         self._lock = threading.Lock()
         self._inflight: dict[tuple[int, int], Rendezvous] = {}
 
     def run(self, comm_id: int, seq: int, size: int, local_rank: int,
             contribution: Any, combine: Callable[[dict[int, Any]], Any],
-            op_name: str, global_rank: Optional[int] = None,
-            group: Optional[tuple[int, ...]] = None) -> Any:
-        if self._injector is not None and global_rank is not None:
+            op_name: str, global_rank: int,
+            group: tuple[int, ...]) -> Any:
+        if self._injector is not None:
             self._injector.on_collective(global_rank, op_name)
         key = (comm_id, seq)
         with self._lock:
@@ -110,14 +87,18 @@ class CollectiveEngine:
             if rv is None:
                 rv = Rendezvous(size, op_name)
                 self._inflight[key] = rv
-        result = rv.arrive(local_rank, contribution, combine, self._stop,
-                           op_name, waitgraph=self._waitgraph,
-                           global_rank=global_rank, group=group)
-        # Last reader garbage-collects the instance.  It is safe to leave
-        # stale entries briefly; they are keyed by monotonically increasing
-        # sequence numbers and never reused.
+        rv.arrive(local_rank, contribution, combine, op_name)
+        if not rv.ready:
+            wait = CollectiveWait(rank=global_rank, op_name=op_name,
+                                  rendezvous=rv, group=group)
+            while not rv.ready:
+                if self._stop.is_set():
+                    raise MpiShutdown(
+                        f"rank {local_rank} interrupted in {op_name}")
+                self._baton.block(global_rank, wait,
+                                  lambda: int(rv.ready))
+        # the instance is complete once ready: the first reader retires it
+        # (keys are monotonically increasing sequence numbers, never reused)
         with self._lock:
-            done = self._inflight.get(key)
-            if done is rv and rv._ready and len(rv._contribs) == size:
-                self._inflight.pop(key, None)
-        return result
+            self._inflight.pop(key, None)
+        return rv.result

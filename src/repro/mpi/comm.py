@@ -83,6 +83,16 @@ class Communicator:
         """Key range covering every tag of this communicator (for ANY_TAG)."""
         return (self.comm_id << 20, (self.comm_id + 1) << 20)
 
+    def _spec(self, source: int, tag: int) -> tuple:
+        """Local ``(source, tag)`` → the mailbox's receive pattern."""
+        gsource = source if source == ANY_SOURCE else self.local_to_global(source)
+        if tag == ANY_TAG:
+            return (gsource, ANY_TAG, self._tag_range())
+        return (gsource, self._tag_key(tag), None)
+
+    def _status(self, st: Status) -> Status:
+        return Status(source=self.global_to_local(st.source), tag=st.tag & 0xFFFFF)
+
     def Send(self, payload: Any, dest: int, tag: int = 0) -> None:
         gdest = self.local_to_global(dest)
         self.job.mailboxes[gdest].deposit(
@@ -90,12 +100,10 @@ class Communicator:
             payload=copy_payload(payload))
 
     def Recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> tuple[Any, Status]:
-        gsource = source if source == ANY_SOURCE else self.local_to_global(source)
+        gsource, ktag, trange = self._spec(source, tag)
         payload, st = self.job.mailboxes[self._global_rank].receive(
-            source=gsource, tag=self._tag_key(tag) if tag != ANY_TAG else ANY_TAG,
-            tag_range=self._tag_range() if tag == ANY_TAG else None)
-        return payload, Status(source=self.global_to_local(st.source),
-                               tag=st.tag & 0xFFFFF)
+            source=gsource, tag=ktag, tag_range=trange)
+        return payload, self._status(st)
 
     def Sendrecv(self, payload: Any, dest: int, sendtag: int = 0,
                  source: int = ANY_SOURCE, recvtag: int = ANY_TAG) -> tuple[Any, Status]:
@@ -107,56 +115,33 @@ class Communicator:
         return Request(payload=None, status=None)
 
     def Irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        gsource = source if source == ANY_SOURCE else self.local_to_global(source)
-        ktag = self._tag_key(tag) if tag != ANY_TAG else ANY_TAG
-        trange = self._tag_range() if tag == ANY_TAG else None
+        spec = self._spec(source, tag)
         mbox = self.job.mailboxes[self._global_rank]
 
         def completer(timeout: Optional[float],
-                      _pin: Optional[tuple[int, int]] = None) -> tuple[Any, Status]:
-            if _pin is not None:
-                # schedule controller already chose the concrete match;
-                # a concrete (source, tag) receive is deterministic (FIFO)
-                payload, st = mbox.receive(source=_pin[0], tag=_pin[1],
-                                           timeout=timeout)
-            else:
-                payload, st = mbox.receive(source=gsource, tag=ktag,
-                                           timeout=timeout, tag_range=trange)
-            return payload, Status(source=self.global_to_local(st.source),
-                                   tag=st.tag & 0xFFFFF)
+                      pin: Optional[tuple[int, int]] = None) -> tuple[Any, Status]:
+            # a pin is the concrete match a schedule decision chose; a
+            # concrete (source, tag) receive is deterministic (FIFO)
+            source, tag, trange = spec if pin is None else (*pin, None)
+            payload, st = mbox.receive(source=source, tag=tag,
+                                       timeout=timeout, tag_range=trange)
+            return payload, self._status(st)
 
-        completer.accepts_pin = True
         req = Request(completer=completer)
-        #: (mailbox, global source, keyed tag, tag range) — lets waitany
-        #: treat pending wildcard Irecvs as one schedule decision point
-        req._sched = (mbox, gsource, ktag, trange)
+        req.recv = (mbox, spec)
         return req
 
     def Probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status:
         """Blocking probe: wait until a matching message is available,
         without consuming it (``MPI_Probe``)."""
-        import time as _time
-
-        while True:
-            st = self.Iprobe(source, tag)
-            if st is not None:
-                return st
-            if self.job.stop_event.is_set():
-                from .errors import MpiShutdown
-
-                raise MpiShutdown(
-                    f"rank {self._global_rank} interrupted in Probe")
-            _time.sleep(0.001)
+        spec = self._spec(source, tag)
+        mbox = self.job.mailboxes[self._global_rank]
+        mbox.wait_match([spec], "Probe", consume=False)
+        return self._status(mbox.probe(*spec))
 
     def Iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Optional[Status]:
-        gsource = source if source == ANY_SOURCE else self.local_to_global(source)
-        ktag = self._tag_key(tag) if tag != ANY_TAG else ANY_TAG
-        st = self.job.mailboxes[self._global_rank].probe(
-            source=gsource, tag=ktag,
-            tag_range=self._tag_range() if tag == ANY_TAG else None)
-        if st is None:
-            return None
-        return Status(source=self.global_to_local(st.source), tag=st.tag & 0xFFFFF)
+        st = self.job.mailboxes[self._global_rank].probe(*self._spec(source, tag))
+        return None if st is None else self._status(st)
 
     # ------------------------------------------------------------------
     # collectives

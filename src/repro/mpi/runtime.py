@@ -1,47 +1,88 @@
 """Threaded SPMD/MPMD job runtime — the ``mpiexec`` of the simulator.
 
-One Python thread per rank.  The job owns the mailboxes, the collective
-engine, a stop event and a watchdog deadline.  Error handling follows
-``MPI_ERRORS_ARE_FATAL``: the first uncaught exception on any rank stops
-the whole job, unwinding ranks blocked in communication via
-:class:`~repro.mpi.errors.MpiShutdown`.
+One Python thread per rank, scheduled run-to-block by the job's
+:class:`~repro.mpi.baton.Baton`: one rank runs at a time, and the baton
+passes on only inside MPI calls that wait or poll.  The job owns the
+mailboxes, the collective engine, the baton, a stop event and a
+watchdog deadline.  Error handling follows ``MPI_ERRORS_ARE_FATAL``: the
+first uncaught exception on any rank stops the whole job, and every
+other rank, parked at a known MPI call, unwinds from there in rank order
+via :class:`~repro.mpi.errors.MpiShutdown`.
 
 The per-test timeout implements the paper's hang/infinite-loop detection:
 COMPI "logs the derived error-inducing input ... if either the program
 returns a non-zero value or fails to complete within the specified
-timeout".  On top of the watchdog, the job maintains a wait-for graph
-(:mod:`~repro.mpi.waitgraph`) over ranks blocked in communication: when
-every live rank is provably stuck, the job is stopped early and the
-result carries a :class:`~repro.mpi.waitgraph.DeadlockInfo` — a *true*
-communication deadlock, distinct from a compute hang that only the
-watchdog can catch.
+timeout".  Communication deadlocks need no timeout: when no rank can run
+and some are unfinished, the baton reports the waits they are parked in
+and the job stops at once with a
+:class:`~repro.mpi.waitgraph.DeadlockInfo` — a *true* communication
+deadlock, distinct from a compute hang that only the watchdog can catch.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+from .baton import Baton
 from .channel import Mailbox
 from .collectives import CollectiveEngine
 from .context import MpiContext
 from .errors import MpiAbort, MpiShutdown
-from .waitgraph import DeadlockInfo, WaitForGraph, detect_deadlock
+from .waitgraph import DeadlockInfo, detect_deadlock
 
-#: how often the monitor loop checks for completion / deadlock
+#: how often the main thread checks the watchdog deadline
 _MONITOR_POLL = 0.02
+
+#: the interpreter's thread switch interval while a job runs.  Each baton
+#: hand-off needs the GIL at once; a CPU-bound thread left over from an
+#: abandoned job (a straggler) would otherwise hold every hand-off up for
+#: a whole default interval of 5 ms.  With no such thread nothing
+#: contends for the GIL and the interval costs nothing.
+_HANDOFF_SWITCH = 1e-4
 
 
 def _monitor_wait(all_done: threading.Event, period: float) -> None:
-    """One monitor pause: wake early when the job completes.
+    """One monitor pause: wake early when the job completes or deadlocks.
 
     Split out so benchmarks/test_engine_hotpath.py can substitute the
     historical ``time.sleep(period)`` poll and measure what completion
     quantization used to cost (see docs/PERFORMANCE.md)."""
     all_done.wait(period)
+
+
+def _start_on_one_cpu(threads: list[threading.Thread]) -> None:
+    """Start the rank threads confined to the CPU the caller runs on.
+
+    The baton runs one rank at a time, so the ranks lose nothing by
+    sharing a CPU, and every hand-off becomes a same-CPU thread switch
+    instead of a wake-up on another, possibly idle, CPU — the dominant
+    hand-off cost on a small VM.  Threads inherit the affinity of the
+    thread that starts them; the caller's own mask is restored after.
+    Taking the caller's CPU keeps concurrent jobs (pool workers, fleet
+    daemons) spread the way the OS spread them.  Where Linux affinity
+    is unavailable the threads simply start unconfined."""
+    mask = None
+    if hasattr(os, "sched_setaffinity"):
+        try:
+            with open("/proc/thread-self/stat", "rb") as fh:
+                # field 39 ("processor"), counted after the ")" of field 2
+                cpu = int(fh.read().rsplit(b")", 1)[1].split()[36])
+            mask = os.sched_getaffinity(0)
+            os.sched_setaffinity(0, {cpu})
+        except (OSError, ValueError, IndexError):
+            mask = None
+    try:
+        for t in threads:
+            t.start()
+    finally:
+        if mask is not None:
+            os.sched_setaffinity(0, mask)
 
 
 class Job:
@@ -54,36 +95,32 @@ class Job:
             raise ValueError(f"job size must be >= 1, got {size}")
         self.size = size
         self.stop_event = threading.Event()
+        #: set when every rank finished, or when a deadlock was proven
+        self.all_done = threading.Event()
         self.injector = injector
-        self.waitgraph = WaitForGraph() if detect_deadlocks else None
+        self.detect_deadlocks = detect_deadlocks
         self.deadlock: Optional[DeadlockInfo] = None
         #: injectable match policy (repro.schedules): wildcard receives
         #: become controllable decision points when set
         self.match_policy = match_policy
-        self._finished_lock = threading.Lock()
-        self._finished: set[int] = set()
-        self.mailboxes = [Mailbox(r, self.stop_event,
-                                  waitgraph=self.waitgraph, injector=injector,
-                                  policy=match_policy)
+        self.baton = Baton(size, self.stop_event, self._quiesce)
+        self.mailboxes = [Mailbox(r, self.stop_event, baton=self.baton,
+                                  injector=injector, policy=match_policy)
                           for r in range(size)]
-        self.collectives = CollectiveEngine(self.stop_event,
-                                            waitgraph=self.waitgraph,
+        self.collectives = CollectiveEngine(self.stop_event, self.baton,
                                             injector=injector)
         self.start_time = time.monotonic()
         self._abort_lock = threading.Lock()
         self.abort_code: Optional[int] = None
         self.abort_origin: Optional[int] = None
-        if match_policy is not None:
-            match_policy.bind_job(self)
 
-    def note_rank_finished(self, rank: int) -> None:
-        """A rank's entry returned (or raised): it can send no more."""
-        with self._finished_lock:
-            self._finished.add(rank)
-
-    def finished_ranks(self) -> frozenset[int]:
-        with self._finished_lock:
-            return frozenset(self._finished)
+    def _quiesce(self, waits: dict[int, Any]) -> None:
+        """No rank can run, some are unfinished: a proven deadlock.
+        Without detection the job idles until the watchdog fires."""
+        if self.detect_deadlocks:
+            self.deadlock = detect_deadlock(waits)
+            self.stop_event.set()
+            self.all_done.set()
 
     def abort(self, errorcode: int = 1, origin: Optional[int] = None) -> None:
         """``MPI_Abort``: stop every rank.  The caller also raises locally."""
@@ -131,7 +168,7 @@ class JobResult:
     abort_code: Optional[int] = None
     abort_origin: Optional[int] = None
     stragglers: int = 0  # threads abandoned after timeout (pure-compute hangs)
-    #: set when the wait-for-graph monitor proved a communication deadlock
+    #: set when the job quiesced with ranks unfinished: a proven deadlock
     deadlock: Optional[DeadlockInfo] = None
 
     @property
@@ -164,11 +201,12 @@ def run_job(entries: list[Callable[[MpiContext], Optional[int]]],
     (instrumented code paths poll the stop event from their branch
     probes); those threads are abandoned as daemon stragglers and counted.
 
-    With ``detect_deadlocks`` (the default), a monitor checks the wait-for
-    graph while waiting: a proven communication deadlock stops the job
-    immediately — long before the watchdog — and is reported via
-    ``JobResult.deadlock``.  ``injector`` attaches a fault injector
-    (:mod:`repro.faults`) to every communication hook point;
+    With ``detect_deadlocks`` (the default), the moment no rank can run
+    while some are unfinished is a proven communication deadlock: the
+    job stops there and reports it via ``JobResult.deadlock``; without
+    detection such a job idles until the watchdog.  ``injector``
+    attaches a fault injector (:mod:`repro.faults`) to every
+    communication hook point;
     ``match_policy`` attaches a schedule controller
     (:mod:`repro.schedules`) that turns wildcard receives into
     deterministic, replayable decision points.
@@ -178,19 +216,12 @@ def run_job(entries: list[Callable[[MpiContext], Optional[int]]],
               match_policy=match_policy)
     outcomes = [RankOutcome(global_rank=r) for r in range(size)]
 
-    # completion signal: the monitor must wake the moment the last rank
-    # returns, not at the next poll tick — with sub-millisecond target
-    # executions, sleeping a fixed poll period quantizes every iteration
-    # up to the period and dominates campaign wall time (the
-    # docs/PERFORMANCE.md cost model).  The poll period only paces the
-    # deadlock/watchdog checks.
-    all_done = threading.Event()
-
     def runner(rank: int) -> None:
         sink = sinks[rank] if sinks is not None else None
         ctx = MpiContext(job, rank, sink=sink)
         if sink is not None and hasattr(sink, "bind_stop_event"):
             sink.bind_stop_event(job.stop_event)
+        job.baton.enter(rank)
         t0 = time.monotonic()
         out = outcomes[rank]
         try:
@@ -204,44 +235,40 @@ def run_job(entries: list[Callable[[MpiContext], Optional[int]]],
                 job.request_stop()
         finally:
             out.elapsed = time.monotonic() - t0
-            job.note_rank_finished(rank)
             out.finished = True
-            # the thread that writes the final flag reads all others True
-            # (attribute writes are ordered), so exactly the last
-            # finisher fires the signal
+            # completion wakes the main thread at once, not at its next
+            # poll tick: sub-millisecond executions must not be quantized
+            # up to the poll period (the docs/PERFORMANCE.md cost model)
             if all(o.finished for o in outcomes):
-                all_done.set()
+                job.all_done.set()
+            job.baton.finish(rank)
 
     threads = [threading.Thread(target=runner, args=(r,), daemon=True,
                                 name=f"mpi-rank-{r}")
                for r in range(size)]
-    t_start = time.monotonic()
-    for t in threads:
-        t.start()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(_HANDOFF_SWITCH)
+    try:
+        t_start = time.monotonic()
+        _start_on_one_cpu(threads)
 
-    deadline = None if timeout is None else t_start + timeout
-    timed_out = False
-    while True:
-        if all(o.finished for o in outcomes):
-            break
-        if deadline is not None and time.monotonic() >= deadline:
-            timed_out = True
-            break
-        if (job.waitgraph is not None and job.deadlock is None
-                and not job.stop_event.is_set()):
-            info = detect_deadlock(job, outcomes)
-            if info is not None:
-                job.deadlock = info
+        deadline = None if timeout is None else t_start + timeout
+        timed_out = False
+        while not all(o.finished for o in outcomes) and job.deadlock is None:
+            if deadline is not None and time.monotonic() >= deadline:
+                timed_out = True
                 break
-        _monitor_wait(all_done, _MONITOR_POLL)
+            _monitor_wait(job.all_done, _MONITOR_POLL)
 
-    if timed_out or job.deadlock is not None:
-        job.request_stop()
+        if timed_out:
+            # the holder may be an uninstrumented loop that never yields:
+            # release every parked rank to unwind on its own
+            job.request_stop()
+            job.baton.abandon()
         for t in threads:
-            t.join(grace)
-    else:
-        for t in threads:  # all ranks returned; reap the threads
-            t.join()
+            t.join(grace if timed_out or job.deadlock is not None else None)
+    finally:
+        sys.setswitchinterval(switch)
     stragglers = sum(1 for t in threads if t.is_alive())
 
     return JobResult(

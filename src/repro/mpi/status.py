@@ -25,7 +25,6 @@ class Message:
     source: int
     tag: int
     payload: Any
-    seq: int  # global send order, used for FIFO matching per (source, tag)
 
 
 class Request:
@@ -37,13 +36,15 @@ class Request:
     payload is returned from :meth:`wait`.
     """
 
-    def __init__(self, completer: Optional[Callable[[Optional[float]], tuple[Any, Status]]] = None,
+    def __init__(self, completer: Optional[Callable[..., tuple[Any, Status]]] = None,
                  payload: Any = None, status: Optional[Status] = None):
         self._completer = completer
         self._payload = payload
         self._status = status
         self._done = completer is None
         self._lock = threading.Lock()
+        #: ``(mailbox, spec)`` of an ``Irecv``: what ``waitany`` waits on
+        self.recv: Optional[tuple[Any, tuple]] = None
 
     @property
     def done(self) -> bool:
@@ -55,18 +56,13 @@ class Request:
         (``None`` for send requests).
 
         ``_pin=(source, tag)`` narrows a wildcard receive to one concrete
-        match — used by the schedule controller to complete the request
-        the decision point chose (ignored by completers that predate it).
+        match — used by ``waitany`` to complete the request a schedule
+        decision point chose.
         """
         with self._lock:
             if not self._done:
                 assert self._completer is not None
-                if _pin is not None and getattr(self._completer,
-                                                "accepts_pin", False):
-                    self._payload, self._status = self._completer(timeout,
-                                                                  _pin)
-                else:
-                    self._payload, self._status = self._completer(timeout)
+                self._payload, self._status = self._completer(timeout, _pin)
                 self._done = True
                 self._completer = None
             return self._payload
@@ -108,39 +104,21 @@ def waitall(requests: list[Request]) -> list[Any]:
 def waitany(requests: list[Request]) -> tuple[int, Any]:
     """``MPI_Waitany``: return (index, payload) of one completed request.
 
-    Polls with ``test()`` like a real progress engine; completed requests
-    must be removed by the caller (as in MPI, where the request becomes
-    inactive).
-
-    When the job runs under a schedule controller and every pending
-    request is a wildcard ``Irecv``, the whole call is treated as one
-    match decision point instead (see :mod:`repro.schedules`): the
-    controller picks which request completes, deterministically or as
-    prescribed by a replayed schedule.
+    The lowest-indexed request that is complete, or can complete, wins;
+    completed requests must be removed by the caller (as in MPI, where
+    the request becomes inactive).  Otherwise the rank parks on one wait
+    covering every pending ``Irecv``, so the deadlock diagnosis sees it.
+    When every pending request is a wildcard ``Irecv`` and a schedule
+    controller is attached, the whole call is one match decision point
+    (see :mod:`repro.schedules`): the controller picks which request
+    completes.
     """
-    import time as _time
-
     if not requests:
         raise ValueError("waitany on empty request list")
-    controller = None
-    for r in requests:
+    for i, r in enumerate(requests):
         if r.done:
-            continue
-        meta = getattr(r, "_sched", None)
-        if meta is None:
-            controller = None
-            break
-        policy = getattr(meta[0], "_policy", None)
-        if policy is None:
-            controller = None
-            break
-        controller = policy
-    if controller is not None:
-        result = controller.waitany(requests)
-        if result is not None:
-            return result
-    while True:
-        for i, r in enumerate(requests):
-            if r.test():
-                return i, r.wait()
-        _time.sleep(0.001)
+            return i, r.wait()
+    # every pending request is an Irecv on the calling rank's mailbox
+    mbox = requests[0].recv[0]
+    k, pin = mbox.wait_match([r.recv[1] for r in requests], "Waitany")
+    return k, requests[k].wait(_pin=pin)

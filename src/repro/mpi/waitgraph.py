@@ -1,51 +1,56 @@
-"""Wait-for graph over blocked ranks: structural deadlock detection.
+"""Wait descriptions and the deadlock diagnosis.
 
 The watchdog timeout can only say "the job did not finish in time" — it
 cannot tell an infinite compute loop from a genuine communication
-deadlock.  This module closes that gap the way MPISE's scheduler does:
-every indefinitely-blocking wait (a ``Recv`` with no timeout, a
-collective rendezvous) registers *what it is waiting for*; when every
-live rank is blocked and none of the registered waits can make progress,
-the job is structurally deadlocked and the rank cycle (e.g. ``0→1→0``)
-is extracted for the bug report.
+deadlock.  This module closes that gap the way MPISE's scheduler does.
+Every MPI call that must wait parks its rank on the job's
+:class:`~repro.mpi.baton.Baton` with a description of *what it waits
+for*: a :class:`RecvWait` (receive, probe, waitany) or a
+:class:`CollectiveWait`.  When no rank can run and some are unfinished
+— exact quiesce, a fact the baton knows at the moment it happens —
+:func:`detect_deadlock` turns those descriptions into a diagnosis with
+the rank cycle (e.g. ``0→1→0``) for the bug report.
 
-Key property of the substrate that makes this sound: sends never block
-(eager/buffered protocol).  So if all live ranks are blocked in receives
-or collectives and no pending message or completed rendezvous can wake
-any of them, no future progress is possible — deadlock — regardless of
-whether a cycle exists (a rank waiting on an already-terminated peer is
-an *orphan wait*, equally permanent).
+Sends never block (eager/buffered protocol), so at quiesce no pending
+message or completed rendezvous can wake anyone: the job is deadlocked
+whether or not a cycle exists (a rank waiting on an already-terminated
+peer is an *orphan wait*, equally permanent).
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import Any, Optional
 
 from .status import ANY_SOURCE
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .runtime import Job, RankOutcome
+#: one receive pattern: (global source or ANY_SOURCE, keyed tag or
+#: ANY_TAG, communicator tag range for ANY_TAG or None)
+Spec = tuple[int, int, Optional[tuple[int, int]]]
 
 
 @dataclass(frozen=True)
 class RecvWait:
-    """A rank blocked in an indefinite receive."""
+    """A rank parked until a message matches one of ``specs``."""
 
     rank: int
-    source: int                              # global source rank or ANY_SOURCE
-    tag: int
-    tag_range: Optional[tuple[int, int]] = None
+    op: str                                  # "Recv", "Probe" or "Waitany"
+    specs: tuple[Spec, ...]
 
     def describe(self) -> str:
-        src = "ANY_SOURCE" if self.source == ANY_SOURCE else str(self.source)
-        return f"Recv(source={src}, tag={self.tag})"
+        return f"{self.op}(" + " | ".join(
+            f"source={'ANY_SOURCE' if s == ANY_SOURCE else s}, tag={t}"
+            for s, t, _ in self.specs) + ")"
+
+    def targets(self, live: set[int]) -> set[int]:
+        if any(s == ANY_SOURCE for s, _, _ in self.specs):
+            return live - {self.rank}
+        return {s for s, _, _ in self.specs}
 
 
 @dataclass(frozen=True)
 class CollectiveWait:
-    """A rank blocked in a collective rendezvous."""
+    """A rank parked in a collective rendezvous."""
 
     rank: int
     op_name: str
@@ -54,6 +59,10 @@ class CollectiveWait:
 
     def describe(self) -> str:
         return f"collective {self.op_name}"
+
+    def targets(self, live: set[int]) -> set[int]:
+        arrived = self.rendezvous.arrived()
+        return {g for lr, g in enumerate(self.group) if lr not in arrived}
 
 
 @dataclass(frozen=True)
@@ -72,38 +81,6 @@ class DeadlockInfo:
             return "cycle " + "→".join(str(r) for r in self.cycle)
         blocked = ", ".join(f"rank {r}: {w}" for r, w in sorted(self.waits.items()))
         return f"orphan wait ({blocked})"
-
-
-class WaitForGraph:
-    """Registry of blocked ranks, updated from inside blocking waits.
-
-    ``version`` increments on every block/unblock; the detector uses it
-    to discard a diagnosis computed while the picture was shifting.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._waits: dict[int, Any] = {}
-        self._version = 0
-
-    @property
-    def version(self) -> int:
-        with self._lock:
-            return self._version
-
-    def block(self, rank: int, wait: Any) -> None:
-        with self._lock:
-            self._waits[rank] = wait
-            self._version += 1
-
-    def unblock(self, rank: int) -> None:
-        with self._lock:
-            if self._waits.pop(rank, None) is not None:
-                self._version += 1
-
-    def snapshot(self) -> tuple[dict[int, Any], int]:
-        with self._lock:
-            return dict(self._waits), self._version
 
 
 def find_cycle(edges: dict[int, set[int]]) -> Optional[list[int]]:
@@ -145,53 +122,11 @@ def find_cycle(edges: dict[int, set[int]]) -> Optional[list[int]]:
     return None
 
 
-def detect_deadlock(job: "Job",
-                    outcomes: Sequence["RankOutcome"]) -> Optional[DeadlockInfo]:
-    """Diagnose the job: DeadlockInfo when no live rank can ever progress.
-
-    Conservative by construction: returns ``None`` unless *every* live
-    rank is registered blocked, *no* blocked wait can be satisfied by
-    current state (pending message / completed rendezvous), and the
-    registry did not change while we looked.
-    """
-    graph = job.waitgraph
-    if graph is None or job.stop_event.is_set():
-        # a stopping job's blocked ranks are about to unwind, not deadlocked
-        return None
-    waits, v0 = graph.snapshot()
-    live = [r for r, o in enumerate(outcomes) if not o.finished]
-    if not live or any(r not in waits for r in live):
-        return None  # someone is computing (or already done)
-
-    edges: dict[int, set[int]] = {}
-    details: dict[int, str] = {}
-    for r in live:
-        w = waits[r]
-        if isinstance(w, RecvWait):
-            # a matching message is already queued: the rank will wake
-            if job.mailboxes[r].probe(source=w.source, tag=w.tag,
-                                      tag_range=w.tag_range) is not None:
-                return None
-            if w.source == ANY_SOURCE:
-                targets = {x for x in live if x != r}
-            else:
-                targets = {w.source}
-        elif isinstance(w, CollectiveWait):
-            rv = w.rendezvous
-            with rv._lock:
-                if rv._ready:
-                    return None  # result published: the rank will wake
-                arrived = set(rv._contribs)
-            targets = {w.group[lr] for lr in range(len(w.group))
-                       if lr not in arrived}
-        else:  # pragma: no cover - unknown wait kinds are not diagnosable
-            return None
-        edges[r] = targets
-        details[r] = w.describe()
-
-    if graph.version != v0:
-        return None  # the picture moved under us: not a stable deadlock
-
-    live_edges = {r: {t for t in tgts if t in edges} for r, tgts in edges.items()}
-    cycle = find_cycle(live_edges)
-    return DeadlockInfo(cycle=tuple(cycle) if cycle else None, waits=details)
+def detect_deadlock(waits: dict[int, Any]) -> DeadlockInfo:
+    """Diagnose a quiesced job: ``waits`` maps every unfinished rank to
+    the wait it is parked in, none of which can be satisfied."""
+    live = set(waits)
+    edges = {r: w.targets(live) & live for r, w in waits.items()}
+    cycle = find_cycle(edges)
+    return DeadlockInfo(cycle=tuple(cycle) if cycle else None,
+                        waits={r: w.describe() for r, w in waits.items()})

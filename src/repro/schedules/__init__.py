@@ -7,7 +7,7 @@ wildcard receives — with deterministic replay.  See docs/SCHEDULES.md.
 * :mod:`~repro.schedules.schedule`   — decision records, canonical
   schedule IDs (encode/decode)
 * :mod:`~repro.schedules.controller` — the injectable match policy
-  (lazy matching; quiesce-stable free decisions; prescription replay)
+  (lazy matching; free decisions at exact quiesce; prescription replay)
 * :mod:`~repro.schedules.tree`       — ScheduleTree + DFS frontier
 """
 

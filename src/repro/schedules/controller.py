@@ -8,92 +8,52 @@ controller either applies a **prescription** (replaying a recorded
 schedule, or forcing a DFS prefix plus one flipped choice) or makes a
 **free** decision.
 
-Free decisions are the part that must be deterministic: "match whatever
-arrived first" depends on thread timing and would break the repo's
-fixed-seed ⇒ byte-identical-log invariant.  The controller therefore
-only commits a free decision under *stable global quiesce*:
+Ranks run one at a time under the job's baton (:mod:`repro.mpi.baton`),
+which wakes a parked receive at the level :meth:`ScheduleController.level`
+gives it:
 
-* every other live rank is either finished or registered blocked in the
-  wait-for graph (so no message is in flight and none can be produced
-  until we act), observed identical on two consecutive polls;
-* among ranks simultaneously parked at free decision points with
-  candidates, the lowest rank decides first (min-rank arbitration).
+* a prescribed match that is pending is taken as soon as the rank runs
+  (level 1, like any satisfied wait);
+* a free decision is taken only at **quiesce** — no rank can run, so no
+  message is in flight and none can be produced until someone acts —
+  and among ranks parked at free decisions the lowest rank decides
+  first (level 2);
+* a prescription whose match never became pending, once even the free
+  deciders have moved (level 3), means the program diverged from the
+  recorded run: the canonical choice replaces it and ``divergences``
+  counts it.
 
-Under quiesce the candidate set is maximal and a pure function of the
+At quiesce the candidate set is maximal and a pure function of the
 program, its inputs, and the decisions taken so far — so the canonical
 choice (minimum ``(source, tag)`` pair, then the earliest send within
 that pair) reproduces bit-for-bit, and every alternative the
 ``ScheduleTree`` later forces is a message that provably *was* pending.
-
-Two escape hatches keep pathological programs from hanging the run,
-both counted and surfaced in telemetry:
-
-* a rank that never blocks (uninstrumented compute loop) can make
-  quiesce unreachable — after ``fallback`` seconds at a decision point
-  the controller decides anyway (``fallbacks`` counter);
-* a prescribed choice that never becomes matchable (the program
-  diverged from the recorded run) is replaced by the canonical free
-  choice once the world is provably quiescent without it
-  (``divergences`` counter).
-
-Lock order: mailbox condition -> controller lock -> wait-graph lock.
-``select`` runs with the receiving mailbox's condition held (it indexes
-the message list directly); it never touches another mailbox.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
-from ..mpi.errors import MpiShutdown
-from ..mpi.status import ANY_SOURCE, ANY_TAG
-from ..mpi.waitgraph import RecvWait
+from ..mpi.baton import BLOCKED, DIVERGENCE, FREE_DECISION, RUNNABLE
+from ..mpi.channel import matches
 from .schedule import (Decision, canonical_decisions, encode_schedule,
                        normalize_prescription, schedule_entries)
-
-#: poll interval while parked at a decision point — short, so the
-#: two-observation quiesce check settles fast
-_DECISION_POLL = 0.01
-
-
-class _Pending:
-    """Per-rank stability state while parked at one decision point."""
-
-    __slots__ = ("first", "key", "seen")
-
-    def __init__(self, now: float):
-        self.first = now          # when this rank first saw a candidate
-        self.key = None           # (world token, candidate set) last poll
-        self.seen = 0             # consecutive polls with identical key
 
 
 class ScheduleController:
     """Injectable match policy for one job execution."""
 
-    def __init__(self, prescription: Sequence = (), fallback: float = 1.0):
+    def __init__(self, prescription: Sequence = ()):
         self._prescription = {(r, i): (s, t)
                               for (r, i, s, t)
                               in normalize_prescription(prescription)}
-        self._fallback = float(fallback)
-        self._lock = threading.RLock()
-        self._job: Optional[Any] = None
         self._counters: dict[int, int] = {}       # rank -> next decision index
         self._decisions: list[Decision] = []
-        self._free_waiting: dict[int, bool] = {}  # rank -> has candidates
-        self._pending: dict[int, _Pending] = {}
         self.divergences = 0
-        self.fallbacks = 0
-
-    # -- wiring ---------------------------------------------------------
-    def bind_job(self, job: Any) -> None:
-        self._job = job
 
     # -- results --------------------------------------------------------
     def decisions(self) -> tuple[Decision, ...]:
-        with self._lock:
-            return canonical_decisions(self._decisions)
+        return canonical_decisions(self._decisions)
 
     def decision_records(self) -> tuple[tuple, ...]:
         return tuple(d.record() for d in self.decisions())
@@ -102,177 +62,56 @@ class ScheduleController:
         return encode_schedule(schedule_entries(self.decisions()))
 
     # -- decision-point protocol ---------------------------------------
-    def select(self, mailbox: Any, source: int, tag: int,
-               tag_range: Optional[tuple[int, int]]) -> Optional[int]:
-        """Called from ``Mailbox.receive`` (condition held) for indefinite
-        ``ANY_SOURCE`` receives.  Returns the message index to pop, or
-        ``None`` to keep waiting."""
-        rank = mailbox.owner_rank
-        cands = self._candidates(mailbox, source, tag, tag_range)
-        with self._lock:
-            choice = self._decide(rank, cands)
-        if choice is None:
-            return None
-        return cands[choice][0]
-
-    def waitany(self, requests: Sequence[Any]) -> Optional[tuple[int, Any]]:
-        """Scheduled ``MPI_Waitany``: one decision point covering every
-        pending wildcard request.  Returns ``(index, payload)``, or
-        ``None`` when the request mix is not schedulable (the caller
-        falls back to the legacy polling loop)."""
-        metas = [getattr(r, "_sched", None) for r in requests]
-        mbox = None
-        for r, meta in zip(requests, metas):
-            if r.done:
-                continue
-            if meta is None or meta[1] != ANY_SOURCE:
-                return None
-            if mbox is None:
-                mbox = meta[0]
-            elif meta[0] is not mbox:
-                return None
-        if mbox is None:  # everything already complete: lowest index wins
-            return 0, requests[0].wait()
-        rank = mbox.owner_rank
-        waitgraph = self._job.waitgraph if self._job is not None else None
-        registered = False
-        try:
-            with mbox._cond:
-                while True:
-                    for qi, r in enumerate(requests):
-                        if r.done:
-                            return qi, r.wait()
-                    cands: dict = {}
-                    owner: dict = {}
-                    for qi, meta in enumerate(metas):
-                        sub = self._candidates(mbox, ANY_SOURCE,
-                                               meta[2], meta[3])
-                        for key in sub:
-                            if key not in cands:
-                                cands[key] = sub[key]
-                                owner[key] = qi
-                    with self._lock:
-                        choice = self._decide(rank, cands)
-                    if choice is not None:
-                        qi = owner[choice]
-                        break
-                    if mbox._stop.is_set():
-                        raise MpiShutdown(
-                            f"rank {rank} interrupted in waitany")
-                    if waitgraph is not None and not registered:
-                        waitgraph.block(rank, RecvWait(
-                            rank=rank, source=ANY_SOURCE, tag=ANY_TAG,
-                            tag_range=None))
-                        registered = True
-                    mbox._cond.wait(_DECISION_POLL)
-        finally:
-            if registered:
-                waitgraph.unblock(rank)
-        return qi, requests[qi].wait(_pin=choice)
-
-    # -- internals ------------------------------------------------------
     @staticmethod
-    def _candidates(mailbox: Any, source: int, tag: int,
-                    tag_range: Optional[tuple[int, int]]) -> dict:
-        """Matchable ``(source, tag) -> (earliest index, earliest seq)``.
+    def candidates(messages: Sequence, specs: Sequence) -> dict:
+        """Matchable ``(source, tag) -> (message index, spec index)``.
 
-        Taking the earliest *send* within the chosen pair preserves the
-        per-sender FIFO (non-overtaking) rule whatever pair is chosen.
+        Each pair maps to its earliest send (which preserves the
+        per-sender FIFO rule whatever pair is chosen) and to the first
+        spec — the first ``waitany`` request — it matches.
         """
         best: dict[tuple[int, int], tuple[int, int]] = {}
-        for i, m in enumerate(mailbox._messages):
-            if source != ANY_SOURCE and m.source != source:
-                continue
-            if tag != ANY_TAG:
-                if m.tag != tag:
-                    continue
-            elif tag_range is not None and not (
-                    tag_range[0] <= m.tag < tag_range[1]):
-                continue
+        for i, m in enumerate(messages):
             key = (m.source, m.tag)
-            cur = best.get(key)
-            if cur is None or m.seq < cur[1]:
-                best[key] = (i, m.seq)
+            if key in best:
+                continue
+            for k, spec in enumerate(specs):
+                if matches(m, *spec):
+                    best[key] = (i, k)
+                    break
         return best
 
-    def _decide(self, rank: int,
-                cands: dict) -> Optional[tuple[int, int]]:
-        """One poll of the decision protocol (controller lock held)."""
-        site = (rank, self._counters.get(rank, 0))
-        forced = self._prescription.get(site)
-        if forced is not None:
-            if forced in cands:
-                self._commit(site, forced, cands, forced=True)
-                return forced
-            if cands and self._stable_quiesce(rank, cands, free=False):
-                # prescribed message provably can't arrive: diverge
-                choice = min(cands)
-                self.divergences += 1
-                self._commit(site, choice, cands, forced=True, fallback=True)
-                return choice
-            return None
-        self._free_waiting[rank] = bool(cands)
-        if not cands:
-            self._pending.pop(rank, None)
-            return None
-        if self._stable_quiesce(rank, cands, free=True):
-            choice = min(cands)
-            self._commit(site, choice, cands, forced=False)
-            return choice
-        return None
+    def _forced(self, rank: int) -> Optional[tuple[int, int]]:
+        return self._prescription.get((rank, self._counters.get(rank, 0)))
 
-    def _commit(self, site: tuple[int, int], choice: tuple[int, int],
-                cands: dict, forced: bool, fallback: bool = False) -> None:
-        rank, index = site
+    def level(self, rank: int, cands: dict) -> int:
+        """The baton level at which ``rank`` may decide over ``cands``."""
+        if not cands:
+            return BLOCKED
+        forced = self._forced(rank)
+        if forced is None:
+            return FREE_DECISION
+        return RUNNABLE if forced in cands else DIVERGENCE
+
+    def decide(self, rank: int, cands: dict,
+               level: int) -> Optional[tuple[int, int]]:
+        """Commit a match if ``rank`` may decide now: it was woken at
+        ``level`` (``RUNNABLE`` when it was not parked).  Returns the
+        chosen ``(source, tag)``, or ``None`` to keep waiting."""
+        mine = self.level(rank, cands)
+        if mine == BLOCKED or mine > level:
+            return None
+        forced = self._forced(rank)
+        choice = forced if mine == RUNNABLE else min(cands)
+        if mine == DIVERGENCE:
+            self.divergences += 1
+        index = self._counters.get(rank, 0)
         self._counters[rank] = index + 1
         self._decisions.append(Decision(
             rank=rank, index=index, source=choice[0], tag=choice[1],
-            candidates=tuple(sorted(cands)), forced=forced,
-            fallback=fallback))
-        self._free_waiting.pop(rank, None)
-        self._pending.pop(rank, None)
-
-    def _world_token(self, rank: int) -> Optional[tuple]:
-        """A stable token when every other live rank is finished or
-        blocked; ``None`` while anyone may still be producing messages."""
-        job = self._job
-        if job is None or getattr(job, "waitgraph", None) is None:
-            return None
-        waits, version = job.waitgraph.snapshot()
-        finished = job.finished_ranks()
-        for r in range(job.size):
-            if r == rank or r in finished:
-                continue
-            if r not in waits:
-                return None
-        return (version, tuple(sorted(finished)))
-
-    def _stable_quiesce(self, rank: int, cands: dict, free: bool) -> bool:
-        now = time.monotonic()
-        state = self._pending.get(rank)
-        if state is None:
-            state = _Pending(now)
-            self._pending[rank] = state
-        token = self._world_token(rank)
-        if token is not None:
-            if free:
-                eligible = [r for r, has in self._free_waiting.items() if has]
-                if eligible and min(eligible) != rank:
-                    return False  # a lower rank decides first
-            elif any(has for r, has in self._free_waiting.items()
-                     if r != rank):
-                return False  # let free deciders move the world first
-            key = (token, tuple(sorted(cands)))
-            state.seen = state.seen + 1 if state.key == key else 1
-            state.key = key
-            if state.seen >= 2:
-                return True
-        else:
-            state.key, state.seen = None, 0
-        if free and now - state.first >= self._fallback:
-            self.fallbacks += 1  # quiesce unreachable (compute-bound peer)
-            return True
-        return False
+            candidates=tuple(sorted(cands)), forced=forced is not None,
+            fallback=mine == DIVERGENCE))
+        return choice
 
 
 class ReplayController(ScheduleController):

@@ -127,7 +127,6 @@ class ScheduleExplorer:
         self._stack: list[tuple[Any, tuple[Entry, ...]]] = []
         self.launched = 0
         self.divergences = 0
-        self.fallbacks = 0
 
     # -- feeding --------------------------------------------------------
     @staticmethod
@@ -136,10 +135,9 @@ class ScheduleExplorer:
                            testcase.setup.nprocs, testcase.setup.focus])
 
     def note(self, testcase: Any, decisions: tuple,
-             divergences: int = 0, fallbacks: int = 0) -> None:
+             divergences: int = 0) -> None:
         """Absorb one executed schedule (any origin, scheduled or not)."""
         self.divergences += int(divergences)
-        self.fallbacks += int(fallbacks)
         if not decisions:
             return
         base = replace(testcase, schedule=())
@@ -172,7 +170,6 @@ class ScheduleExplorer:
             "schedules_seen": sum(t.schedules_seen
                                   for t in self._trees.values()),
             "divergences": self.divergences,
-            "fallbacks": self.fallbacks,
         }
 
     # -- checkpointing --------------------------------------------------
@@ -182,7 +179,6 @@ class ScheduleExplorer:
             "depth": self.depth,
             "launched": self.launched,
             "divergences": self.divergences,
-            "fallbacks": self.fallbacks,
             "stack": [(tc, tuple(p)) for tc, p in self._stack],
             "trees": {k: t.state_dict() for k, t in self._trees.items()},
         }
@@ -192,7 +188,6 @@ class ScheduleExplorer:
         self.depth = int(state["depth"])
         self.launched = int(state["launched"])
         self.divergences = int(state.get("divergences", 0))
-        self.fallbacks = int(state.get("fallbacks", 0))
         self._stack = [(tc, tuple(tuple(e) for e in p))
                        for tc, p in state["stack"]]
         self._trees = {k: ScheduleTree.from_state(d)

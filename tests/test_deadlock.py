@@ -79,6 +79,50 @@ def test_orphan_wait_recv_from_finished_rank():
     assert "orphan" in res.deadlock.describe()
 
 
+def test_probe_cycle_is_deadlock():
+    """A blocking Probe parks as a registered wait: a Probe cycle is a
+    deadlock found at quiesce, not a hang left to the watchdog."""
+    def prog(mpi):
+        mpi.Init()
+        r = mpi.COMM_WORLD.Get_rank()
+        mpi.COMM_WORLD.Probe(source=1 - r, tag=1)
+        mpi.COMM_WORLD.Send(r, dest=1 - r, tag=1)  # pragma: no cover
+
+    t0 = time.monotonic()
+    res = run_spmd(prog, size=2, timeout=TIMEOUT)
+    assert time.monotonic() - t0 < TIMEOUT / 2
+    assert not res.timed_out
+    assert res.deadlock is not None
+    assert res.deadlock.cycle in ((0, 1, 0), (1, 0, 1))
+    assert res.deadlock.waits == {0: "Probe(source=1, tag=1)",
+                                  1: "Probe(source=0, tag=1)"}
+    assert classify_run(res).kind == KIND_DEADLOCK
+
+
+def test_waitany_cycle_is_deadlock():
+    """waitany over pending Irecvs parks as one wait covering them all."""
+    from repro.mpi import waitany
+
+    def prog(mpi):
+        mpi.Init()
+        r = mpi.COMM_WORLD.Get_rank()
+        peer = 1 - r
+        reqs = [mpi.COMM_WORLD.Irecv(source=peer, tag=1),
+                mpi.COMM_WORLD.Irecv(source=peer, tag=2)]
+        waitany(reqs)
+        mpi.COMM_WORLD.Send(r, dest=peer, tag=1)  # pragma: no cover
+
+    t0 = time.monotonic()
+    res = run_spmd(prog, size=2, timeout=TIMEOUT)
+    assert time.monotonic() - t0 < TIMEOUT / 2
+    assert not res.timed_out
+    assert res.deadlock is not None
+    assert res.deadlock.cycle in ((0, 1, 0), (1, 0, 1))
+    assert res.deadlock.waits[0] == \
+        "Waitany(source=1, tag=1 | source=1, tag=2)"
+    assert classify_run(res).kind == KIND_DEADLOCK
+
+
 def test_compute_loop_stays_a_hang():
     """An uninstrumented busy loop is NOT a communication deadlock: only
     the watchdog catches it, and the thread is abandoned as a straggler."""

@@ -206,7 +206,9 @@ def test_blocking_probe_unwinds_on_shutdown():
         mpi.Init()
         mpi.COMM_WORLD.Probe(source=0, tag=99)  # nobody ever sends
 
-    res = run_spmd(prog, size=1, timeout=0.4)
+    # the parked Probe is a provable deadlock (tests/test_deadlock.py);
+    # with detection off, the watchdog's stop must unwind it
+    res = run_spmd(prog, size=1, timeout=0.4, detect_deadlocks=False)
     assert res.timed_out
     assert isinstance(res.outcomes[0].error, MpiShutdown)
 

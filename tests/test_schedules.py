@@ -1,6 +1,9 @@
 """Schedule-space exploration: IDs, tree, controller, replay, resume."""
 
+import argparse
 import dataclasses
+import hashlib
+import time
 
 import pytest
 
@@ -11,8 +14,9 @@ from repro.core.persist import (CampaignLog, load_campaign, load_checkpoint,
 from repro.core.runner import TestRunner
 from repro.core.testcase import TestCase
 from repro.instrument import instrument_program
-from repro.schedules import (Decision, ScheduleExplorer, ScheduleTree,
-                             decode_schedule, encode_schedule,
+from repro.mpi import ANY_SOURCE, run_spmd
+from repro.schedules import (Decision, ScheduleController, ScheduleExplorer,
+                             ScheduleTree, decode_schedule, encode_schedule,
                              normalize_prescription)
 
 
@@ -163,6 +167,82 @@ def test_portfolio_excludes_schedule_exploration(race_program):
     cfg = dataclasses.replace(CFG, portfolio=("dfs2", "bounded"))
     with pytest.raises(ValueError, match="mutually exclusive"):
         Compi(race_program, cfg)
+
+
+def test_free_decision_waits_for_a_late_sender():
+    """A free decision is taken at exact quiesce, however long a peer
+    computes first: here longer than any poll-and-timer heuristic would
+    wait, so the late message must still be among the candidates."""
+    def prog(mpi):
+        mpi.Init()
+        rank = mpi.COMM_WORLD.Get_rank()
+        if rank == 0:
+            for _ in range(2):
+                mpi.COMM_WORLD.Recv(source=ANY_SOURCE, tag=1)
+        elif rank == 1:
+            mpi.COMM_WORLD.Send(1, dest=0, tag=1)
+        else:
+            end = time.monotonic() + 1.2
+            while time.monotonic() < end:   # compute, no MPI calls
+                pass
+            mpi.COMM_WORLD.Send(2, dest=0, tag=1)
+
+    sids = set()
+    for _ in range(2):
+        controller = ScheduleController()
+        res = run_spmd(prog, size=3, timeout=20, match_policy=controller)
+        assert res.ok
+        first = controller.decisions()[0]
+        assert first.candidates == ((1, 1), (2, 1))
+        assert controller.divergences == 0
+        sids.add(controller.schedule_id())
+    assert sids == {"r0.0=s1.t1;r0.1=s2.t1"}
+
+
+#: committed-iteration digests of ``repro run --target race
+#: --explore-schedules --seed S --iterations 60``, recorded with the
+#: earlier poll-based quiesce detection: exact quiesce must explore the
+#: same schedules, find the same bugs and cover the same branches
+RACE_GOLDEN = {0: "c3ce5b34edb90551", 1: "399d8be56adb3383",
+               2: "cfecad519edc650b"}
+
+
+def _race_campaign_digest(program, seed):
+    """Digest of testcase inputs, per-run coverage and schedule IDs,
+    iteration records and bug signatures — no wall-clock fields."""
+    from repro.__main__ import add_common, build_config
+    parser = argparse.ArgumentParser()
+    add_common(parser)
+    cfg = build_config(parser.parse_args(
+        ["--target", "race", "--explore-schedules", "--seed", str(seed)]))
+    h = hashlib.sha256()
+    with Compi(program, cfg) as c:
+        collector = c.engine.collector
+        absorb = collector.absorb
+
+        def tap(cand, outcome, iteration):
+            tc = cand.testcase
+            h.update(repr((iteration, sorted(tc.inputs.items()),
+                           tc.setup.nprocs, tc.setup.focus,
+                           outcome.schedule,
+                           sorted(outcome.coverage.branches))).encode())
+            return absorb(cand, outcome, iteration)
+
+        collector.absorb = tap
+        result = c.run(iterations=60)
+    for r in result.iterations:
+        h.update(repr((r.iteration, r.origin, r.path_len, r.event_count,
+                       r.covered_after, r.error_kind, r.negated_site,
+                       r.schedule)).encode())
+    for b in result.bugs:
+        h.update(repr((b.iteration, b.kind, b.signature, b.schedule,
+                       b.pending_ops)).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("seed", sorted(RACE_GOLDEN))
+def test_race_exploration_matches_golden_digest(race_program, seed):
+    assert _race_campaign_digest(race_program, seed) == RACE_GOLDEN[seed]
 
 
 # ----------------------------------------------------------------------
