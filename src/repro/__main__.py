@@ -78,8 +78,6 @@ def build_config(args: argparse.Namespace) -> CompiConfig:
         workers=getattr(args, "workers", 1),
         speculation_width=getattr(args, "speculation_width", None),
         speculation_depth=getattr(args, "speculation_depth", 4),
-        probe_batching=getattr(args, "probe_batching", True),
-        persistent_solver=getattr(args, "persistent_solver", True),
         solver_cache=getattr(args, "solver_cache", True),
         solver_cache_path=getattr(args, "solver_cache_path", None),
         max_rss_mb=getattr(args, "max_rss", None),
@@ -132,18 +130,6 @@ def add_common(p: argparse.ArgumentParser) -> None:
                         "after an adopted prediction the batch is "
                         "refilled with siblings of the fresh trace "
                         "(1 = no refill; inline execution ignores it)")
-    p.add_argument("--probe-batching", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="record concrete-only branch probes into "
-                        "preallocated per-sink hit arrays flushed once "
-                        "per run (--no-probe-batching restores the "
-                        "per-call recorder path; identical results)")
-    p.add_argument("--persistent-solver",
-                   action=argparse.BooleanOptionalAction, default=True,
-                   help="keep the simplified invariant stem and "
-                        "path-prefix ladder alive in the solve session "
-                        "across iterations (--no-persistent-solver "
-                        "rebuilds per negation; identical results)")
     p.add_argument("--solver-cache", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="counterexample cache between the solve session "

@@ -36,10 +36,13 @@ def set_sink(sink: Optional[Any]) -> None:
 
 @contextmanager
 def sink_scope(sink: Optional[Any]) -> Iterator[None]:
-    """Install ``sink`` for the duration of a ``with`` block."""
+    """Install ``sink`` for the duration of a ``with`` block, then fold
+    its probe hit arrays into its coverage map."""
     prev = current_sink()
     set_sink(sink)
     try:
         yield
     finally:
         set_sink(prev)
+        if sink is not None:
+            sink.flush()

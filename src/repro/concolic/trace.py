@@ -63,7 +63,15 @@ class TraceResult:
 
 
 class LightSink:
-    """Coverage-only recorder for non-focus ranks (the ``ex2`` behaviour)."""
+    """Coverage-only recorder for non-focus ranks (the ``ex2`` behaviour).
+
+    Concrete probe evaluations record into two flat hit arrays, which
+    the runner sizes from the program's site registry before a run; a
+    sink built elsewhere gets them from the first probe that finds none
+    (:func:`~repro.instrument.loader.make_probes`), so one sink records
+    one program.  :meth:`flush` folds the arrays into :attr:`coverage`;
+    leaving :func:`~repro.concolic.context.sink_scope` calls it.
+    """
 
     heavy = False
 
@@ -72,10 +80,9 @@ class LightSink:
         self.coverage = CoverageMap()
         self._stop: Optional[threading.Event] = None
         self._probe_calls = 0
-        #: batched-probe hit arrays (``None`` = per-call recording).
-        #: ``branch_hits[2*sid + outcome]`` is set by the probe fast path
-        #: for concrete-only evaluations; :meth:`flush` folds both arrays
-        #: into the coverage map.  See docs/PERFORMANCE.md.
+        #: probe hit arrays (``None`` until allocated):
+        #: ``branch_hits[2*sid + outcome]`` and ``func_hits[fid]`` are
+        #: set by concrete probe evaluations.  See docs/PERFORMANCE.md.
         self.branch_hits: Optional[bytearray] = None
         self.func_hits: Optional[bytearray] = None
 
@@ -84,22 +91,20 @@ class LightSink:
         self._stop = event
 
     def preallocate(self, n_sites: int, n_functions: int) -> None:
-        """Enable batched probes: one byte per static branch direction
+        """Allocate the hit arrays: one byte per static branch direction
         and per function.  Site/function IDs are deterministic and dense
-        (see :class:`~repro.instrument.sites.SiteRegistry`), so the probe
-        fast path indexes with ``2*sid + outcome`` / ``fid`` directly.
-        Implicit sites (negative IDs) never take the fast path."""
+        (see :class:`~repro.instrument.sites.SiteRegistry`), so the
+        probes index with ``2*sid + outcome`` / ``fid`` directly.
+        Implicit sites (negative IDs) are recorded per call instead."""
         self.branch_hits = bytearray(2 * n_sites)
         self.func_hits = bytearray(n_functions)
 
     def flush(self) -> None:
-        """Fold the batched hit arrays into the coverage map.
+        """Fold the hit arrays into the coverage map.
 
-        Called once per run by the harvest (and by :meth:`serialize` /
-        :meth:`result`); idempotent, and a no-op for per-call sinks.
-        The resulting coverage map is identical to what per-call
-        recording would have produced — the arrays only change *when*
-        branches are recorded, never *what*.
+        Called when the sink's scope ends, by the runner's harvest and by
+        :meth:`serialize` / :meth:`result`; idempotent, and a no-op
+        before the arrays exist.
         """
         hits = self.branch_hits
         if hits is not None:

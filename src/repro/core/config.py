@@ -14,7 +14,13 @@ from typing import Optional
 
 @dataclass
 class CompiConfig:
-    """Knobs for one testing campaign."""
+    """Knobs for one testing campaign.
+
+    Snapshots written by older versions may carry keys that no longer
+    exist — ``probe_batching`` and ``persistent_solver`` once selected
+    reference probe and solver paths that now have one implementation
+    each; :meth:`from_dict` drops them.
+    """
 
     # -- reproducibility ------------------------------------------------
     seed: int = 0
@@ -102,21 +108,6 @@ class CompiConfig:
     divergence_detection: bool = True
 
     # -- hot-path performance (docs/PERFORMANCE.md) ------------------------
-    #: batched coverage probes: concrete-only branch/iter/function probes
-    #: record into preallocated per-sink hit arrays (one byte per branch
-    #: direction) flushed into the coverage map once per run, instead of
-    #: dispatching a recorder method per evaluation.  Symbolic-relevant
-    #: evaluations always keep the full probe path.  Traces, coverage and
-    #: serialized logs are identical either way — see the batched ≡
-    #: per-call determinism test.
-    probe_batching: bool = True
-    #: persistent incremental solving: the scheduler keeps one simplified
-    #: *invariant stem* (MPI semantics + caps) plus an incremental
-    #: path-prefix simplification ladder alive inside the SolveSession
-    #: across iterations, instead of re-simplifying the full context for
-    #: every negation.  Results are bit-for-bit identical to the
-    #: rebuild-per-solve path (see docs/PERFORMANCE.md).
-    persistent_solver: bool = True
     #: speculation-tree depth: generations of speculative candidates the
     #: engine may chain per pipeline.  After an adopted prediction the
     #: in-flight batch is refilled with further siblings of the freshly

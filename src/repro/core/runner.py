@@ -275,14 +275,11 @@ class TestRunner:
                                        log_events=cfg.log_events,
                                        mark_mpi=cfg.framework,
                                        mark_comm_sizes=cfg.mark_comm_sizes))
-        if cfg.probe_batching:
-            # batched probes: concrete-only evaluations record into these
-            # arrays instead of per-call recorder dispatch; the harvest
-            # flushes them into the coverage map (docs/PERFORMANCE.md)
-            registry = self.program.registry
-            for sink in sinks:
-                sink.preallocate(registry.total_sites,
-                                 len(registry.functions))
+        # concrete probe evaluations record into these arrays; the
+        # harvest flushes them into the coverage map (docs/PERFORMANCE.md)
+        registry = self.program.registry
+        for sink in sinks:
+            sink.preallocate(registry.total_sites, len(registry.functions))
         return sinks
 
     def run(self, testcase: TestCase,
@@ -352,7 +349,7 @@ class TestRunner:
                       match_policy=controller)
         wall = time.monotonic() - t0
         for sink in sinks:
-            sink.flush()   # fold batched probe arrays into coverage
+            sink.flush()   # fold probe hit arrays into coverage
         self._runs += 1
         if not job.timed_out:
             alpha = self.config.timeout_ewma_alpha

@@ -192,16 +192,14 @@ class Scheduler:
 
         path = trace.path
         semantics, caps_cons, domains = self._solve_context(trace)
-        # persistent solving: install (or reuse) the trace's invariant
-        # stem once, then solve every negation through its prefix ladder
-        frame = (self.session.stem(semantics + caps_cons)
-                 if cfg.persistent_solver else None)
+        # install (or reuse) the trace's invariant stem once, then solve
+        # every negation through its prefix ladder
+        frame = self.session.stem(semantics + caps_cons)
         ctx = StrategyContext(path=path, coverage=coverage,
                               iteration=iteration)
         for pos in self.strategy.propose(ctx):
-            built = self._solve_position(tc, trace, pos, semantics,
-                                         caps_cons, domains, self.session,
-                                         frame)
+            built = self._solve_position(tc, trace, pos, domains,
+                                         self.session, frame)
             if built is None:
                 self.strategy.mark_infeasible(path, pos)
                 continue
@@ -237,8 +235,7 @@ class Scheduler:
         session = self.session.fork()
         # the fork shares the committed stream's stem frame, so the
         # ladder warmed here is the one advance() extends next step
-        frame = (session.stem(semantics + caps_cons)
-                 if self.config.persistent_solver else None)
+        frame = session.stem(semantics + caps_cons)
         out: list[Candidate] = []
         probe = width + _SPECULATION_PROBE_SLACK
         # the random/CFG strategies draw from their RNG while proposing;
@@ -249,9 +246,8 @@ class Scheduler:
             for pos in self.strategy.propose_many(ctx, probe + 1):
                 if pos == serial_pos:
                     continue
-                built = self._solve_position(tc, trace, pos, semantics,
-                                             caps_cons, domains, session,
-                                             frame)
+                built = self._solve_position(tc, trace, pos, domains,
+                                             session, frame)
                 if built is None:
                     continue
                 built.speculative = True
@@ -277,28 +273,20 @@ class Scheduler:
         return semantics, caps_cons, domains
 
     def _solve_position(self, tc: TestCase, trace: TraceResult, pos: int,
-                        semantics, caps_cons, domains,
-                        session: SolveSession,
-                        frame=None) -> Optional[Candidate]:
+                        domains, session: SolveSession,
+                        frame) -> Optional[Candidate]:
         """Solve one negation; build its candidate (None = infeasible).
 
-        The invariant context (MPI semantics + caps) leads and the
-        position-dependent path prefix trails, so the session's
-        simplify memo sees consecutive contexts as extensions of a
-        shared stem instead of always-different lists.  With a stem
-        ``frame`` (``persistent_solver``), the same query goes through
+        The query is ``frame.raw`` (the invariant MPI semantics + caps)
+        followed by the position-dependent path prefix, solved through
         :meth:`~repro.solver.incremental.SolveSession.solve_at` and the
-        frame's prefix ladder — bit-for-bit the same result.
+        frame's prefix ladder.
         """
         path = trace.path
         prefix = [pe.constraint for pe in path[:pos]]
         negated = path[pos].constraint.negated()
-        if frame is not None:
-            res = session.solve_at(frame, prefix, negated, domains,
-                                   previous=dict(trace.values))
-        else:
-            res = session.solve(semantics + caps_cons + prefix, negated,
-                                domains, previous=dict(trace.values))
+        res = session.solve_at(frame, prefix, negated, domains,
+                               previous=dict(trace.values))
         if res is None:
             return None
         new_inputs = {name: int(res.assignment[vid])

@@ -41,28 +41,20 @@ def make_probes(registry: SiteRegistry) -> dict[str, Callable]:
     """Build the runtime probe functions injected into instrumented code.
 
     These run once per branch evaluation of every instrumented target —
-    the engine's hottest path — so each probe carries two recording
-    routes:
-
-    * **batched** — when the calling thread's sink has preallocated hit
-      arrays (:meth:`~repro.concolic.trace.LightSink.preallocate`, wired
-      by the runner under ``CompiConfig.probe_batching``), a *concrete*
-      evaluation writes one byte into ``branch_hits[2*sid + outcome]``
-      and returns.  The arrays are flushed into the coverage map once
-      per run.
-    * **per-call** — without arrays (direct sink construction, or
-      ``probe_batching=False``), every evaluation dispatches the
-      classic ``sink.on_branch`` / ``sink.on_function`` recorder call.
-
-    Determinism contract: the two routes are observably identical —
-    same coverage map, same trace (symbolic-relevant evaluations always
-    take the full ``observe``/``on_branch`` path so path constraints,
-    reduction and implicit sites are untouched), same serialized log
-    bytes, same heavy-rank event log and event count, and the same
-    stop-poll cadence (one poll per 256 probe calls, shared counter).
-    ``tests/test_hotpath_determinism.py`` enforces this on the demo and
-    race targets.
+    the engine's hottest path.  A *concrete* evaluation writes one byte
+    into the calling thread's sink (``branch_hits[2*sid + outcome]`` or
+    ``func_hits[fid]``) and returns; the arrays are folded into the
+    coverage map once per run (:meth:`~repro.concolic.trace.LightSink.flush`).
+    A sink that has no arrays yet — one built outside the runner — gets
+    them from ``registry`` on its first probe.  Symbolic-relevant
+    evaluations take the full ``observe``/``on_branch`` path, so path
+    constraints, reduction and implicit sites are recorded per call.
+    The heavy sink's event count and event log, and the stop poll (one
+    per 256 probe calls), are kept on the array path too.
     """
+
+    def allocate(sink) -> None:
+        sink.preallocate(registry.total_sites, len(registry.functions))
 
     def __compi_branch__(sid: int, val: Any) -> bool:
         sink = getattr(tls, "sink", None)
@@ -88,9 +80,8 @@ def make_probes(registry: SiteRegistry) -> dict[str, Callable]:
             outcome = True if val else False
         hits = sink.branch_hits
         if hits is None:
-            sink.on_branch(sid, outcome, None)
-            return outcome
-        # batched fast path: concrete-only evaluation, no recorder call
+            allocate(sink)
+            hits = sink.branch_hits
         hits[sid + sid + outcome] = 1
         calls = sink._probe_calls + 1
         sink._probe_calls = calls
@@ -111,9 +102,9 @@ def make_probes(registry: SiteRegistry) -> dict[str, Callable]:
             return
         fhits = sink.func_hits
         if fhits is None:
-            sink.on_function(fid)
-        else:
-            fhits[fid] = 1
+            allocate(sink)
+            fhits = sink.func_hits
+        fhits[fid] = 1
 
     def __compi_iter__(sid: int, iterable: Any):
         """Probe generator for ``for`` loops: one True branch per item,
@@ -124,14 +115,10 @@ def make_probes(registry: SiteRegistry) -> dict[str, Callable]:
             return
         hits = sink.branch_hits
         if hits is None:
-            for item in iterable:
-                sink.on_branch(sid, True, None)
-                yield item
-            sink.on_branch(sid, False, None)
-            return
-        # batched fast path: loop iterations are always concrete (the
-        # iterable is a real container; symbolic bounds go through
-        # ``while`` probes), so record straight into the array
+            allocate(sink)
+            hits = sink.branch_hits
+        # loop iterations are always concrete (the iterable is a real
+        # container; symbolic bounds go through ``while`` probes)
         heavy = sink.heavy
         true_idx = sid + sid + 1
         for item in iterable:
@@ -215,10 +202,8 @@ def instrument_program(module_names: list[str], entry_module: Optional[str] = No
     initializer, or across campaign resumes) produce identical site
     registries.  The engine's parallel executor depends on this: worker
     processes re-instrument by module name and must agree with the
-    parent on every site ID.  The probes installed here are likewise
-    trajectory-neutral — batched and per-call probe modes record
-    identical traces and coverage (see :func:`make_probes` and
-    docs/PERFORMANCE.md); only the clock changes.
+    parent on every site ID, and on the size of the per-sink hit arrays
+    the probes index by those IDs (see :func:`make_probes`).
     """
     if not module_names:
         raise ValueError("no modules to instrument")

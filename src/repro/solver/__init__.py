@@ -4,11 +4,11 @@ from .incremental import (IncrementalResult, SolveSession, dependent_slice,
                           solve_incremental)
 from .intervals import INF, Box, check_assignment, propagate
 from .search import DEFAULT_NODE_LIMIT, Problem, Solver, SolveStats
-from .simplify import SimplifyMemo, simplify
+from .simplify import simplify
 
 __all__ = [
     "Box", "DEFAULT_NODE_LIMIT", "INF", "IncrementalResult", "Problem",
-    "SimplifyMemo", "SolveSession", "SolveStats", "Solver",
+    "SolveSession", "SolveStats", "Solver",
     "check_assignment", "dependent_slice", "propagate", "simplify",
     "solve_incremental",
 ]

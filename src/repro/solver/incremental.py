@@ -32,7 +32,7 @@ from ..solvercache import (CacheEntry, SolverStats, canonical_key,
                            canonicalize_model, decanonicalize)
 from .intervals import Box, check_assignment
 from .search import Problem, Solver
-from .simplify import SimplifyMemo, simplify
+from .simplify import simplify
 
 
 def dependent_slice(constraints: list[Constraint],
@@ -117,8 +117,9 @@ def solve_incremental(constraints: list[Constraint], negated: Constraint,
     every other variable keeps its previous value.  Returns ``None`` when
     the slice is UNSAT (or the solver gave up).
 
-    ``simplifier`` substitutes a memoized :func:`simplify` (results are
-    identical either way); ``cache`` is a counterexample cache (or a
+    ``simplifier`` replaces :func:`simplify` — :meth:`SolveSession.solve_at`
+    passes a pass-through for a context its stem ladder already
+    simplified (results are identical either way); ``cache`` is a counterexample cache (or a
     speculative fork view) consulted before — and fed after — the
     backtracking solve; ``stats`` accumulates session telemetry.
     """
@@ -189,7 +190,7 @@ def _identity(constraints: list[Constraint]) -> list[Constraint]:
 
 
 class _StemFrame:
-    """One pushed invariant stem plus its simplified path-prefix ladder.
+    """A session's invariant stem plus its simplified path-prefix ladder.
 
     ``raw`` is the stem as the scheduler built it (MPI semantic
     constraints + discovered caps — everything invariant across the
@@ -197,9 +198,11 @@ class _StemFrame:
     ``simplify(raw + path[:k])`` for the longest path the frame has
     seen; consecutive negations of one trace differ only in prefix
     length, so each extends the ladder by at most a few constraints
-    instead of re-simplifying the whole context (the
-    :class:`~repro.solver.simplify.SimplifyMemo` compositionality
-    property, applied per prefix level).
+    instead of re-simplifying the whole context.  That is sound because
+    :func:`simplify` is compositional over extension:
+    ``simplify(simplify(A) + B) == simplify(A + B)`` — the survivors of
+    ``A`` carry exactly the per-key tightest constants and the
+    first-appearance order a joint pass would compute.
 
     Ladder entries are pure functions of ``(raw, path[:k])``: mutation
     is cache warming, never semantics, which is why forked sessions may
@@ -233,30 +236,29 @@ class _StemFrame:
 class SolveSession:
     """A sequence of incremental solves over one (stateful) solver.
 
-    The session owns the solver, the counterexample cache, the
-    simplification memo, and the cumulative :class:`SolverStats` that
-    the campaign report surfaces.  The engine scheduler funnels every
-    committed (serial) negation through one long-lived session, and
-    gives each speculative batch a :meth:`fork` — a snapshot solver plus
-    a write-buffered cache view, so neither solver state nor cache
+    The session owns the solver, the counterexample cache, the stem
+    frame, and the cumulative :class:`SolverStats` that the campaign
+    report surfaces.  The engine scheduler funnels every committed
+    (serial) negation through one long-lived session, and gives each
+    speculative batch a :meth:`fork` — a snapshot solver plus a
+    write-buffered cache view, so neither solver state nor cache
     contents (nor LRU recency, nor the disk tier) can be perturbed by
     speculation.  A forked session is reused across the whole batch
     (one snapshot per batch, not per candidate), which is what makes
     k-wide speculation cheap enough to schedule every step.
 
-    **Persistent incremental solving** (``CompiConfig.persistent_solver``):
-    instead of re-simplifying ``stem + prefix`` from scratch on every
-    :meth:`solve`, the scheduler pushes the trace's invariant stem once
-    (:meth:`stem` / :meth:`push_stem`) and solves each negation through
-    :meth:`solve_at`, which extends the frame's prefix ladder
-    incrementally.  Determinism contract: for any call sequence,
-    ``solve_at(frame, prefix, negated, ...)`` produces bit-for-bit the
-    results of ``solve(list(frame.raw) + prefix, negated, ...)`` —
-    same sliced query, same cache keys, same solver node walk — because
-    ladder entries equal a fresh ``simplify`` of the concatenation and
-    :func:`simplify` is idempotent.  The frames themselves are pure
-    caches: they are not checkpointed, and a resumed session rebuilds
-    them on first use.
+    **Persistent incremental solving**: the scheduler installs each
+    trace's invariant stem (MPI semantics + caps) once with
+    :meth:`stem` and solves every negation through :meth:`solve_at`,
+    which extends the frame's prefix ladder incrementally instead of
+    re-simplifying the whole context.  :meth:`solve` is the plain
+    reference: ``solve_at(frame, prefix, negated, ...)`` produces
+    bit-for-bit the results of ``solve(list(frame.raw) + prefix,
+    negated, ...)`` — same sliced query, same cache keys, same solver
+    node walk — because ladder entries equal a fresh ``simplify`` of the
+    concatenation and :func:`simplify` is idempotent.  The frame is a
+    pure cache: it is not checkpointed, and a resumed session rebuilds
+    it on first use.
     """
 
     def __init__(self, solver: Optional[Solver] = None, cache=None,
@@ -265,8 +267,7 @@ class SolveSession:
         self.cache = cache
         self.stats = stats if stats is not None else SolverStats()
         self.solves = 0
-        self._memo = SimplifyMemo()
-        self._stems: list[_StemFrame] = []
+        self._frame: Optional[_StemFrame] = None
 
     def solve(self, constraints: list[Constraint], negated: Constraint,
               domains: Box,
@@ -274,38 +275,21 @@ class SolveSession:
         self.solves += 1
         return solve_incremental(constraints, negated, domains,
                                  previous=previous, solver=self.solver,
-                                 simplifier=self._memo, cache=self.cache,
-                                 stats=self.stats)
-
-    # -- persistent stems ------------------------------------------------
-    def push_stem(self, stem: list[Constraint]) -> _StemFrame:
-        """Push an invariant stem; subsequent :meth:`solve_at` calls
-        against the returned frame solve ``stem + prefix ∧ negated``."""
-        frame = _StemFrame(stem)
-        self._stems.append(frame)
-        return frame
-
-    def pop_stem(self) -> None:
-        """Drop the top stem frame (a pure cache — no solver state to
-        undo)."""
-        self._stems.pop()
+                                 cache=self.cache, stats=self.stats)
 
     def stem(self, stem: list[Constraint]) -> _StemFrame:
-        """The session's frame for ``stem``, replacing the top frame.
+        """The session's frame for ``stem``: subsequent :meth:`solve_at`
+        calls against it solve ``stem + prefix ∧ negated``.
 
         The scheduler calls this once per trace: when the stem is
         unchanged from the previous trace (the common case — MPI
         semantics and caps rarely move) the existing frame and its warm
-        ladder are reused; otherwise the top frame is swapped out.
+        ladder are reused; otherwise the frame is replaced.
         """
-        if self._stems:
-            top = self._stems[-1]
-            if top.raw == tuple(stem):
-                return top
-            frame = _StemFrame(stem)
-            self._stems[-1] = frame
-            return frame
-        return self.push_stem(stem)
+        frame = self._frame
+        if frame is None or frame.raw != tuple(stem):
+            frame = self._frame = _StemFrame(stem)
+        return frame
 
     def solve_at(self, frame: _StemFrame, prefix: list[Constraint],
                  negated: Constraint, domains: Box,
@@ -324,11 +308,11 @@ class SolveSession:
         """An independent session whose solver state is a snapshot of
         this one — speculation runs here.  The fork reads the shared
         cache but buffers its writes, and keeps throwaway telemetry:
-        only the committed stream feeds the campaign report.  Stem
-        frames are shared with the parent (ladder entries are pure
+        only the committed stream feeds the campaign report.  The stem
+        frame is shared with the parent (ladder entries are pure
         functions of stem + prefix, so cross-warming is sound)."""
         fork_cache = self.cache.fork() if self.cache is not None else None
         forked = SolveSession(copy.deepcopy(self.solver), cache=fork_cache,
                               stats=SolverStats())
-        forked._stems = list(self._stems)
+        forked._frame = self._frame
         return forked

@@ -72,41 +72,3 @@ def simplify(constraints: list[Constraint]) -> list[Constraint]:
             out.append(c)
     return out
 
-
-class SimplifyMemo:
-    """Memoized :func:`simplify` for the mostly-unchanged retained prefix.
-
-    Consecutive incremental solves re-simplify near-identical context
-    lists: the path prefix grows (or shrinks back) by a few constraints
-    between negations while the MPI-semantic and capping tails repeat
-    verbatim — O(n) re-simplification per negation, O(n²) over a
-    campaign.  Two observations make memoization sound and cheap:
-
-    * :func:`simplify` is *compositional over extension*:
-      ``simplify(simplify(A) + B) == simplify(A + B)`` — the survivors
-      of ``A`` carry exactly the per-key tightest constants and the
-      first-appearance order that a joint pass would compute;
-    * the common case is an exact repeat or a pure extension of the
-      previous call's input, so re-simplifying only ``survivors + tail``
-      replaces a full pass over the raw prefix.
-
-    Falls back to a plain :func:`simplify` whenever the new input is
-    not an extension, so results are bit-for-bit identical to the
-    unmemoized function in every case.
-    """
-
-    def __init__(self) -> None:
-        self._key: tuple = ()
-        self._out: list[Constraint] = []
-
-    def __call__(self, constraints: list[Constraint]) -> list[Constraint]:
-        key = tuple(constraints)
-        if key == self._key:
-            return list(self._out)
-        n = len(self._key)
-        if n and len(key) >= n and key[:n] == self._key:
-            out = simplify(self._out + list(key[n:]))
-        else:
-            out = simplify(list(key))
-        self._key, self._out = key, out
-        return list(out)

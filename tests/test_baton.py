@@ -1,17 +1,14 @@
 """Run-to-block scheduling: rank order, and crash aborts that no longer
 depend on thread timing."""
 
-import argparse
-import dataclasses
-import hashlib
-
 import pytest
 
-from repro.core import Compi
 from repro.core.conflicts import TestSetup
 from repro.core.runner import TestRunner
 from repro.core.testcase import TestCase
 from repro.mpi import run_spmd
+
+from .golden import GOLDEN, golden_config, run_golden
 
 
 def test_lowest_runnable_rank_runs_first():
@@ -58,37 +55,11 @@ def susy_program():
     prog.unload()
 
 
-def _susy_config(seed):
-    from repro.__main__ import add_common, build_config
-    parser = argparse.ArgumentParser()
-    add_common(parser)
-    cfg = build_config(parser.parse_args(
-        ["--target", "susy", "--nprocs", "4",
-         "--portfolio", "dfs2,bounded,random,cfg", "--seed", str(seed)]))
-    # a flat timeout: SUSY's slowest inputs run past the adaptive
-    # timeout's floor, where a hang verdict would depend on the host
-    return dataclasses.replace(cfg, adaptive_timeout=False, test_timeout=30.0)
-
-
-def _iteration_digest(result):
-    """The committed iteration stream, wall-clock fields excluded."""
-    h = hashlib.sha256()
-    for r in result.iterations:
-        h.update(repr((r.iteration, r.origin, r.nprocs, r.focus, r.path_len,
-                       r.event_count, r.covered_after, r.error_kind,
-                       r.negated_site, r.arm, r.schedule)).encode())
-    return h.hexdigest()
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_susy_campaign_is_reproducible(susy_program, seed):
-    digests = []
-    for _ in range(2):
-        with Compi(susy_program, _susy_config(seed)) as c:
-            result = c.run(iterations=60)
-        assert any(r.error_kind for r in result.iterations)  # crashes seen
-        digests.append(_iteration_digest(result))
-    assert digests[0] == digests[1]
+    result, digest = run_golden(susy_program, "susy", seed)
+    assert any(r.error_kind for r in result.iterations)  # crashes seen
+    assert digest == GOLDEN[("susy", seed)]
 
 
 def test_crash_abort_leaves_a_fixed_focus_trace(susy_program):
@@ -99,7 +70,7 @@ def test_crash_abort_leaves_a_fixed_focus_trace(susy_program):
                           "gauge_fix": 1, "lambda_i": 274, "kappa_i": 943,
                           "meas_freq": 463, "seed": 273169},
                   setup=TestSetup(5, 0))
-    runner = TestRunner(susy_program, _susy_config(0))
+    runner = TestRunner(susy_program, golden_config("susy", 0))
     seen = set()
     for _ in range(20):
         rec = runner.run(tc)

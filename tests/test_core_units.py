@@ -1,6 +1,8 @@
 """Unit tests for COMPI core pieces: semantics constraints, conflict
 resolution, test cases, runner classification, report formatting."""
 
+import dataclasses
+
 import pytest
 
 from repro.concolic.expr import KIND_INPUT, KIND_RC, KIND_RW, KIND_SW, Var
@@ -184,6 +186,16 @@ def test_testcase_describe():
     tc = TestCase(inputs={"x": 1}, setup=TestSetup(4, 2), origin="negation")
     s = tc.describe()
     assert "np=4" in s and "focus=2" in s and "x=1" in s
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_config_snapshot_with_retired_keys_loads(value):
+    """Checkpoints, JSONL metas and fleet results written while the probe
+    and solver paths had A/B switches carry their keys; they still load,
+    and the keys select nothing."""
+    snapshot = dict(dataclasses.asdict(CompiConfig(seed=5, workers=2)),
+                    probe_batching=value, persistent_solver=value)
+    assert CompiConfig.from_dict(snapshot) == CompiConfig(seed=5, workers=2)
 
 
 # ----------------------------------------------------------------------

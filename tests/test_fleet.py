@@ -70,6 +70,12 @@ def test_spec_rejects_unknown_target_strategy_and_config_key():
         FleetSpec.from_dict(spec_dict(failure={"max_failures": 0}))
 
 
+@pytest.mark.parametrize("key", ["probe_batching", "persistent_solver"])
+def test_spec_rejects_retired_config_keys(key):
+    with pytest.raises(FleetSpecError, match="unknown shard.config"):
+        FleetSpec.from_dict(spec_dict(shard={"config": {key: False}}))
+
+
 def test_spec_roundtrips_through_manifest_snapshot():
     spec = FleetSpec.from_dict(spec_dict(
         matrix={"target": ["demo"], "strategy": ["dfs"], "nprocs": [2]},

@@ -1,18 +1,15 @@
 """Hot-path optimisations change *time*, never *results*.
 
 Three optimisations share one determinism contract
-(docs/PERFORMANCE.md):
+(docs/PERFORMANCE.md), pinned by the golden campaign digests of
+:mod:`tests.golden` rather than by a second implementation:
 
-* **batched coverage probes** (``probe_batching``) — concrete-only
-  branch/function probes record into preallocated per-sink hit arrays
-  flushed once per run, instead of a recorder call per evaluation.
-  Contract: identical trace, coverage map, and serialized log sizes to
-  per-call recording, on every target.
-* **persistent incremental solving** (``persistent_solver``) — one
-  stem frame + prefix ladder alive across iterations replaces per-solve
-  re-simplification.  Contract: bit-for-bit the rebuild-every-time
-  results — same committed stream, same cache hit/miss/store counters —
-  including across a checkpoint/resume boundary.
+* **batched coverage probes** — concrete-only branch/function probes
+  record into per-sink hit arrays flushed once per run, also for sinks
+  built outside the runner.
+* **persistent incremental solving** — one stem frame + prefix ladder
+  alive across iterations; a resumed campaign rebuilds it and still
+  commits the golden stream with the golden solver counters.
 * **depth-k speculation tree** (``speculation_depth``) — mid-batch
   refills keep the pool saturated.  Contract: ``--workers N`` still
   equals serial; depth 1 reproduces single-generation behaviour.
@@ -20,23 +17,21 @@ Three optimisations share one determinism contract
 
 import pytest
 
+from repro.concolic import LightSink, merge_all, sink_scope
 from repro.core import Compi, CompiConfig, TestSetup
 from repro.core.persist import CampaignLog
 from repro.core.runner import TestRunner
 from repro.core.testcase import TestCase
 from repro.instrument import instrument_program
+from repro.mpi import run_job
+
+from .golden import (GOLDEN, ITERATIONS, campaign_digest, golden_config,
+                     run_golden, tap_runs)
 
 
 @pytest.fixture(scope="module")
 def demo_program():
     prog = instrument_program(["repro.targets.demo"])
-    yield prog
-    prog.unload()
-
-
-@pytest.fixture(scope="module")
-def race_program():
-    prog = instrument_program(["repro.targets.race"])
     yield prog
     prog.unload()
 
@@ -55,8 +50,6 @@ def _cfg(**kw):
 
 
 def _proj(result):
-    """Per-iteration projection, including the per-rank log sizes the
-    paper's Table IV measures — byte-level probe-path equivalence."""
     return [(r.iteration, r.origin, r.nprocs, r.path_len, r.event_count,
              r.covered_after, r.error_kind, r.negated_site,
              r.focus_log_size, r.nonfocus_log_avg)
@@ -67,116 +60,50 @@ def _keys(result):
     return {b.dedup_key for b in result.bugs}
 
 
-def _solver_counters(result):
-    s = result.solver
-    return (s.solves, s.cache_hits, s.unsat_hits, s.cache_misses,
-            s.stale_hits, s.sat_solves, s.unsat_solves, s.stores,
-            s.nodes, s.propagations, s.slice_constraints, s.max_slice)
-
-
-# ----------------------------------------------------------------------
-# batched probes ≡ per-call probes
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("target,inputs,nprocs", [
-    ("repro.targets.demo", {"x": 500, "y": 200}, 3),
-    ("repro.targets.race", {"x": 10, "y": 5}, 4),
-])
-def test_batched_run_matches_per_call_run(target, inputs, nprocs,
-                                          request):
-    fixture = {"repro.targets.demo": "demo_program",
-               "repro.targets.race": "race_program"}[target]
-    program = request.getfixturevalue(fixture)
-    tc = TestCase(inputs=inputs, setup=TestSetup(nprocs, 0))
-
-    recs = {}
-    for batching in (False, True):
-        runner = TestRunner(program, _cfg(probe_batching=batching))
-        recs[batching] = runner.run(tc)
-
-    per_call, batched = recs[False], recs[True]
-    assert batched.trace.path == per_call.trace.path
-    assert batched.trace.values == per_call.trace.values
-    assert batched.trace.event_count == per_call.trace.event_count
-    assert batched.coverage.branches == per_call.coverage.branches
-    assert batched.coverage.functions == per_call.coverage.functions
-    assert batched.focus_log_size == per_call.focus_log_size
-    assert batched.nonfocus_log_sizes == per_call.nonfocus_log_sizes
-
-
-@pytest.mark.parametrize("fixture", ["demo_program", "race_program"])
-def test_batched_campaign_matches_per_call(fixture, request):
-    program = request.getfixturevalue(fixture)
-    results = {}
-    for batching in (False, True):
-        compi = Compi(program, _cfg(probe_batching=batching))
-        try:
-            results[batching] = compi.run(iterations=10)
-        finally:
-            compi.close()
-    assert _proj(results[True]) == _proj(results[False])
-    assert results[True].coverage.branches == results[False].coverage.branches
-    assert _keys(results[True]) == _keys(results[False])
-
-
 def test_sink_without_arrays_still_works(demo_program):
-    """Directly-constructed sinks (no preallocate) keep the per-call
-    path: probes must not assume the arrays exist."""
-    runner = TestRunner(demo_program, _cfg(probe_batching=False))
-    rec = runner.run(TestCase(inputs={"x": 5, "y": 7},
-                              setup=TestSetup(2, 0)))
-    assert rec.trace is not None
-    assert rec.coverage.covered_branches > 0
+    """Sinks built outside the runner have no preallocated hit arrays:
+    the probes allocate them from the program's site registry, and
+    leaving ``sink_scope`` folds them into the coverage map."""
+    tc = TestCase(inputs={"x": 5, "y": 7}, setup=TestSetup(2, 0))
+    sinks = [LightSink(global_rank=r) for r in range(2)]
+
+    def rank_entry(mpi):
+        with sink_scope(mpi.sink):
+            return demo_program.entry(mpi, dict(tc.inputs))
+
+    assert run_job([rank_entry] * 2, sinks=sinks, timeout=10.0).ok
+    assert all(s.branch_hits is not None for s in sinks)
+    direct = merge_all(s.coverage for s in sinks)
+    rec = TestRunner(demo_program, _cfg()).run(tc)
+    assert direct.branches == rec.coverage.branches
+    assert direct.functions == rec.coverage.functions
 
 
 # ----------------------------------------------------------------------
-# persistent solve session ≡ rebuild every iteration
+# the persistent solve session across a checkpoint/resume boundary
 # ----------------------------------------------------------------------
-def test_persistent_session_matches_rebuild(demo_program):
-    results = {}
-    for persistent in (False, True):
-        compi = Compi(demo_program, _cfg(persistent_solver=persistent))
-        try:
-            results[persistent] = compi.run(iterations=12)
-        finally:
-            compi.close()
-    assert _proj(results[True]) == _proj(results[False])
-    assert results[True].coverage.branches == results[False].coverage.branches
-    assert _keys(results[True]) == _keys(results[False])
-    # the ladder must produce the *same queries*: every cache counter
-    # (hits, misses, stores, even backtracking nodes) must agree
-    assert _solver_counters(results[True]) == _solver_counters(
-        results[False])
-
-
 def test_persistent_session_across_resume(demo_program, tmp_path):
-    """A resumed campaign rebuilds its stem frames from scratch; the
-    committed stream must still match an uninterrupted rebuild-mode
-    reference bit-for-bit."""
-    reference = Compi(demo_program, _cfg(persistent_solver=False))
-    try:
-        ref = reference.run(iterations=12)
-    finally:
-        reference.close()
-
+    """A resumed campaign rebuilds its stem frame from scratch; the
+    stitched committed stream and solver counters must still be the
+    uninterrupted campaign's golden digest."""
+    runs = []
     part_log = tmp_path / "part.jsonl"
-    first = Compi(demo_program, _cfg(persistent_solver=True))
-    try:
+    with Compi(demo_program, golden_config("demo", 2)) as first:
+        tap_runs(first, runs)
         with CampaignLog(part_log) as log:
             first.run(iterations=5, log=log)
-    finally:
-        first.close()
 
     resumed_c = Compi.resume(demo_program, part_log)
     assert resumed_c._iteration == 5
     try:
+        tap_runs(resumed_c, runs)
         with CampaignLog(part_log, mode="a") as log:
-            resumed = resumed_c.run(iterations=7, log=log)
+            resumed = resumed_c.run(iterations=ITERATIONS["demo"] - 5,
+                                    log=log)
     finally:
         resumed_c.close()
 
-    assert _proj(resumed) == _proj(ref)
-    assert resumed.coverage.branches == ref.coverage.branches
-    assert _keys(resumed) == _keys(ref)
+    assert campaign_digest(resumed, runs) == GOLDEN[("demo", 2)]
 
 
 # ----------------------------------------------------------------------
@@ -215,23 +142,9 @@ def test_depth_one_reproduces_single_generation(seq_program):
 
 
 def test_all_three_optimisations_compose(demo_program):
-    """Everything on vs everything off: the full hot-path stack is one
-    committed stream."""
-    off = Compi(demo_program, _cfg(probe_batching=False,
-                                   persistent_solver=False,
-                                   speculation_depth=1))
-    try:
-        r_off = off.run(iterations=10)
-    finally:
-        off.close()
-
-    on = Compi(demo_program, _cfg(workers=2, speculation_width=3,
-                                  speculation_depth=4))
-    try:
-        r_on = on.run(iterations=10)
-    finally:
-        on.close()
-
-    assert _proj(r_on) == _proj(r_off)
-    assert r_on.coverage.branches == r_off.coverage.branches
-    assert _keys(r_on) == _keys(r_off)
+    """The full hot-path stack — batched probes, the persistent solve
+    session, ``--workers 2`` with a depth-4 speculation tree — commits
+    the golden campaign."""
+    _, digest = run_golden(demo_program, "demo", 1, workers=2,
+                           speculation_width=3, speculation_depth=4)
+    assert digest == GOLDEN[("demo", 1)]

@@ -1,8 +1,6 @@
 """Schedule-space exploration: IDs, tree, controller, replay, resume."""
 
-import argparse
 import dataclasses
-import hashlib
 import time
 
 import pytest
@@ -18,6 +16,8 @@ from repro.mpi import ANY_SOURCE, run_spmd
 from repro.schedules import (Decision, ScheduleController, ScheduleExplorer,
                              ScheduleTree, decode_schedule, encode_schedule,
                              normalize_prescription)
+
+from .golden import GOLDEN, run_golden
 
 
 @pytest.fixture(scope="module")
@@ -199,50 +199,13 @@ def test_free_decision_waits_for_a_late_sender():
     assert sids == {"r0.0=s1.t1;r0.1=s2.t1"}
 
 
-#: committed-iteration digests of ``repro run --target race
-#: --explore-schedules --seed S --iterations 60``, recorded with the
-#: earlier poll-based quiesce detection: exact quiesce must explore the
-#: same schedules, find the same bugs and cover the same branches
-RACE_GOLDEN = {0: "c3ce5b34edb90551", 1: "399d8be56adb3383",
-               2: "cfecad519edc650b"}
-
-
-def _race_campaign_digest(program, seed):
-    """Digest of testcase inputs, per-run coverage and schedule IDs,
-    iteration records and bug signatures — no wall-clock fields."""
-    from repro.__main__ import add_common, build_config
-    parser = argparse.ArgumentParser()
-    add_common(parser)
-    cfg = build_config(parser.parse_args(
-        ["--target", "race", "--explore-schedules", "--seed", str(seed)]))
-    h = hashlib.sha256()
-    with Compi(program, cfg) as c:
-        collector = c.engine.collector
-        absorb = collector.absorb
-
-        def tap(cand, outcome, iteration):
-            tc = cand.testcase
-            h.update(repr((iteration, sorted(tc.inputs.items()),
-                           tc.setup.nprocs, tc.setup.focus,
-                           outcome.schedule,
-                           sorted(outcome.coverage.branches))).encode())
-            return absorb(cand, outcome, iteration)
-
-        collector.absorb = tap
-        result = c.run(iterations=60)
-    for r in result.iterations:
-        h.update(repr((r.iteration, r.origin, r.path_len, r.event_count,
-                       r.covered_after, r.error_kind, r.negated_site,
-                       r.schedule)).encode())
-    for b in result.bugs:
-        h.update(repr((b.iteration, b.kind, b.signature, b.schedule,
-                       b.pending_ops)).encode())
-    return h.hexdigest()[:16]
-
-
-@pytest.mark.parametrize("seed", sorted(RACE_GOLDEN))
+@pytest.mark.parametrize("seed", [0, 1, 2])
 def test_race_exploration_matches_golden_digest(race_program, seed):
-    assert _race_campaign_digest(race_program, seed) == RACE_GOLDEN[seed]
+    """``repro run --target race --explore-schedules --iterations 60``
+    explores the golden schedules, finds the golden bugs and covers the
+    golden branches (tests/golden.py)."""
+    _, digest = run_golden(race_program, "race", seed)
+    assert digest == GOLDEN[("race", seed)]
 
 
 # ----------------------------------------------------------------------

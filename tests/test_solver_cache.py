@@ -11,11 +11,13 @@ from hypothesis import given, settings, strategies as st
 from repro.concolic.expr import Constraint, LinearExpr
 from repro.core import Compi, CompiConfig
 from repro.instrument import instrument_program
-from repro.solver import SimplifyMemo, Solver, simplify, solve_incremental
-from repro.solver.incremental import SolveSession
+from repro.solver import Solver, simplify, solve_incremental
+from repro.solver.incremental import SolveSession, _StemFrame
 from repro.solvercache import (CacheEntry, CounterexampleCache, SolverStats,
                                canonical_key, canonicalize_model,
                                decanonicalize)
+
+from .golden import GOLDEN, run_golden, solver_counters
 
 
 def le(coeffs, const):
@@ -319,7 +321,7 @@ def test_session_without_cache_still_solves():
 
 
 # ----------------------------------------------------------------------
-# SimplifyMemo (satellite: memoized prefix simplification)
+# the stem frame's prefix ladder ≡ plain simplify, solve_at ≡ solve
 # ----------------------------------------------------------------------
 constraint_st = st.builds(
     lambda coeffs, const, op: Constraint(LinearExpr(coeffs, const), op),
@@ -328,28 +330,58 @@ constraint_st = st.builds(
     st.integers(-20, 20),
     st.sampled_from(["<=", "<", "==", "!="]))
 
+#: one step of a prefix sequence: extend appends ``cons``, shrink keeps
+#: the first ``n`` constraints, swap keeps the first ``n`` then appends
+#: ``cons``; ``negated`` is the step's flipped branch
+prefix_step_st = st.tuples(st.sampled_from(["extend", "shrink", "swap"]),
+                           st.integers(0, 8),
+                           st.lists(constraint_st, min_size=1, max_size=3),
+                           constraint_st)
+
+
+def _prefixes(steps):
+    """Yield ``(prefix, negated)`` for each step of a prefix sequence."""
+    prefix: list = []
+    for op, n, cons, negated in steps:
+        if op == "extend":
+            prefix = prefix + cons
+        elif op == "shrink":
+            prefix = prefix[:n]
+        else:
+            prefix = prefix[:n] + cons
+        yield prefix, negated
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(constraint_st, max_size=8),
-       st.lists(constraint_st, max_size=4),
-       st.lists(constraint_st, max_size=4))
-def test_simplify_memo_matches_plain_simplify(base, ext1, ext2):
-    """Exact repeat, pure extension, and non-extension all agree with
-    the unmemoized function."""
-    memo = SimplifyMemo()
-    assert memo(base) == simplify(base)
-    assert memo(base + ext1) == simplify(base + ext1)          # extension
-    assert memo(base + ext1) == simplify(base + ext1)          # repeat
-    assert memo(ext2 + base) == simplify(ext2 + base)          # reset
+       st.lists(prefix_step_st, max_size=8))
+def test_stem_ladder_matches_plain_simplify(stem, steps):
+    """Extending, shrinking and swapping the prefix: every ladder rung
+    is a fresh ``simplify`` of ``stem + prefix``."""
+    frame = _StemFrame(stem)
+    assert frame.context_at([]) == simplify(stem)
+    for prefix, _ in _prefixes(steps):
+        assert frame.context_at(prefix) == simplify(stem + prefix)
 
 
-def test_simplify_memo_reuses_survivors_on_extension():
-    memo = SimplifyMemo()
-    base = [le({0: 1}, -k) for k in range(10)]   # collapses to tightest
-    memo(base)
-    assert len(memo._out) == 1
-    out = memo(base + [le({1: 1}, -5)])
-    assert out == simplify(base + [le({1: 1}, -5)])
+@settings(max_examples=40, deadline=None)
+@given(st.lists(constraint_st, max_size=6),
+       st.lists(prefix_step_st, min_size=1, max_size=6))
+def test_solve_at_matches_solve(stem, steps):
+    """``solve_at`` through the ladder and ``solve`` on the concatenated
+    context give the same result and the same solver counters, call by
+    call."""
+    domains = {v: (-30, 30) for v in range(5)}
+    previous = {v: 0 for v in range(5)}
+    laddered = SolveSession(cache=CounterexampleCache())
+    plain = SolveSession(cache=CounterexampleCache())
+    frame = laddered.stem(stem)
+    for prefix, negated in _prefixes(steps):
+        got = laddered.solve_at(frame, prefix, negated, domains, previous)
+        want = plain.solve(stem + prefix, negated, domains, previous)
+        assert got == want
+        assert solver_counters(laddered.stats) == solver_counters(
+            plain.stats)
 
 
 # ----------------------------------------------------------------------
@@ -376,15 +408,19 @@ def _projection(result):
 
 
 def test_campaign_cache_on_equals_cache_off():
-    on = _campaign(True)
-    off = _campaign(False)
-    assert on.coverage.branches == off.coverage.branches
-    assert ({b.dedup_key for b in on.bugs}
-            == {b.dedup_key for b in off.bugs})
-    assert _projection(on) == _projection(off)
-    assert on.solver.hits > 0           # and the cache actually worked
+    """The golden campaigns run with the cache on; switching it off
+    must commit the same trajectory.  Only the solver counters differ."""
+    program = instrument_program(["repro.targets.demo"])
+    try:
+        off, (trajectory, _) = run_golden(program, "demo", 0,
+                                          solver_cache=False)
+    finally:
+        program.unload()
+    golden_trajectory, on = GOLDEN[("demo", 0)]
+    assert trajectory == golden_trajectory
     assert off.solver.hits == 0
-    assert on.solver.stale_hits == 0
+    assert on[1] + on[2] > 0            # the cache-on golden did hit ...
+    assert on[4] == 0                   # ... and never replayed a stale model
 
 
 def test_campaign_disk_tier_warms_second_run(tmp_path):
