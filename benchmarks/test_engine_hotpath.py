@@ -4,19 +4,14 @@ Measures what the hot-path era bought (docs/PERFORMANCE.md) and writes
 ``benchmarks/out/BENCH_engine.json``:
 
 * **executions/sec** — a demo campaign under the pre-PR engine
-  (poll-quantized job monitor, single-generation speculation) vs the
-  current engine.  The pre-PR monitor is restored faithfully by
-  substituting the historical ``time.sleep`` poll for
-  :func:`repro.mpi.runtime._monitor_wait`.  The pre-PR per-call probes
-  and rebuild-per-solve solving no longer exist, so both columns run
-  the current probes and solve session.
+  (poll-quantized job monitor) vs the current engine.  The pre-PR
+  monitor is restored faithfully by substituting the historical
+  ``time.sleep`` poll for :func:`repro.mpi.runtime._monitor_wait`.
+  The pre-PR per-call probes and rebuild-per-solve solving no longer
+  exist, so both columns run the current probes and solve session.
 * **probe overhead** — wall time of one fixed loop-heavy execution:
   uninstrumented vs instrumented (batched probes).
 * **solver time share** — in-solver seconds over campaign seconds.
-* **pool saturation** — mean in-flight executions, speculation hits and
-  mid-batch refills at ``speculation_depth`` 1 vs 4 under workers, on
-  HPL (deep paths where negation predictions actually verify; the demo
-  skeleton restarts too often to speculate).
 
 Asserted contracts:
 
@@ -24,14 +19,14 @@ Asserted contracts:
   acceptance gate);
 * batched probes stay under a checked-in overhead ceiling vs
   uninstrumented execution (the CI ``engine-bench-smoke`` gate);
-* serial == ``--workers 4`` and cache-on == cache-off, unchanged.
+* cache-on == cache-off, unchanged.
 """
 
 import json
 import statistics
 import time
 
-from conftest import OUT_DIR, load_program, scaled
+from conftest import OUT_DIR, scaled
 
 import repro.mpi.runtime as mpi_runtime
 from repro.core import Compi, CompiConfig, TestSetup
@@ -43,7 +38,6 @@ from repro.targets import demo as demo_module
 
 CAMPAIGN_ITERS = 120
 DETERMINISM_ITERS = 30
-SATURATION_ITERS = 40
 NPROCS = 6
 #: acceptance gate: current vs pre-PR executions/sec on demo
 SPEEDUP_FLOOR = 1.5
@@ -71,32 +65,17 @@ def _cfg(**kw):
     return CompiConfig(**base)
 
 
-PRE_PR_FLAGS = dict(speculation_depth=1)
-
-
-def _campaign(iters, pre_pr_monitor=False, load=None, **kw):
-    """One campaign (demo unless ``load`` overrides); returns
-    (result, wall_s, engine_telemetry)."""
+def _campaign(iters, pre_pr_monitor=False, **kw):
+    """One demo campaign; returns (result, wall_s)."""
     mpi_runtime._monitor_wait = _poll_wait if pre_pr_monitor \
         else _event_wait
-    program = load() if load is not None \
-        else instrument_program(["repro.targets.demo"])
+    program = instrument_program(["repro.targets.demo"])
     try:
-        compi = Compi(program, _cfg(**kw))
-        try:
+        with Compi(program, _cfg(**kw)) as compi:
             t0 = time.perf_counter()
             result = compi.run(iterations=iters)
             wall = time.perf_counter() - t0
-        finally:
-            eng = compi.engine
-            telemetry = {
-                "avg_inflight": round(eng.avg_inflight, 3),
-                "speculation_hits": eng.speculation_hits,
-                "speculation_squashes": eng.speculation_squashes,
-                "speculation_refills": eng.speculation_refills,
-            }
-            compi.close()
-        return result, wall, telemetry
+        return result, wall
     finally:
         mpi_runtime._monitor_wait = _event_wait
         program.unload()
@@ -150,9 +129,8 @@ def _measure():
     iters = scaled(CAMPAIGN_ITERS)
 
     # -- executions/sec: pre-PR engine vs current ----------------------
-    r_before, w_before, _ = _campaign(iters, pre_pr_monitor=True,
-                                      **PRE_PR_FLAGS)
-    r_after, w_after, _ = _campaign(iters)
+    r_before, w_before = _campaign(iters, pre_pr_monitor=True)
+    r_after, w_after = _campaign(iters)
     assert r_after.coverage.branches == r_before.coverage.branches
     assert ({b.dedup_key for b in r_after.bugs}
             == {b.dedup_key for b in r_before.bugs})
@@ -161,24 +139,10 @@ def _measure():
     plain_ms = _uninstrumented_ms()
     batched_ms = _instrumented_ms()
 
-    # -- pool saturation: speculation depth 1 vs 4 (on HPL) ------------
-    sat_iters = scaled(SATURATION_ITERS)
-    sat = {"target": "HPL"}
-    for depth in (1, 4):
-        r, w, tel = _campaign(sat_iters, load=lambda: load_program("HPL"),
-                              init_nprocs=4, workers=2,
-                              speculation_width=4, speculation_depth=depth)
-        sat[f"depth{depth}"] = dict(
-            execs_per_sec=round(sat_iters / w, 1), **tel)
-
-    # -- determinism gates ---------------------------------------------
+    # -- determinism gate ----------------------------------------------
     det_iters = scaled(DETERMINISM_ITERS)
-    r_serial, _, _ = _campaign(det_iters)
-    r_workers, _, _ = _campaign(det_iters, workers=4)
-    serial_eq = (_proj(r_serial) == _proj(r_workers)
-                 and r_serial.coverage.branches
-                 == r_workers.coverage.branches)
-    r_nocache, _, _ = _campaign(det_iters, solver_cache=False)
+    r_serial, _ = _campaign(det_iters)
+    r_nocache, _ = _campaign(det_iters, solver_cache=False)
     cache_eq = (_proj(r_serial) == _proj(r_nocache)
                 and r_serial.coverage.branches
                 == r_nocache.coverage.branches)
@@ -200,9 +164,7 @@ def _measure():
             "batched_ms": round(batched_ms, 2),
             "batched_ratio": round(batched_ms / plain_ms, 2),
         },
-        "saturation": sat,
         "determinism": {
-            "serial_equals_workers4": serial_eq,
             "cache_on_equals_off": cache_eq,
         },
     }
@@ -217,7 +179,6 @@ def test_engine_hotpath(once):
     print(f"\n{json.dumps(results, indent=2, sort_keys=True)}\n")
 
     det = results["determinism"]
-    assert det["serial_equals_workers4"], "--workers 4 diverged from serial"
     assert det["cache_on_equals_off"], "solver cache changed the trajectory"
 
     speedup = results["campaign"]["speedup_execs_per_sec"]
@@ -229,12 +190,3 @@ def test_engine_hotpath(once):
     assert probe["batched_ratio"] <= BATCHED_OVERHEAD_CEILING, (
         f"batched probe overhead {probe['batched_ratio']}x uninstrumented "
         f"(ceiling {BATCHED_OVERHEAD_CEILING}x)")
-
-    sat = results["saturation"]
-    assert sat["depth1"]["speculation_hits"] > 0, (
-        "speculation never verified on HPL — prediction machinery broken")
-    assert sat["depth4"]["speculation_refills"] > 0, (
-        "the depth-4 speculation tree never refilled mid-batch")
-    assert (sat["depth4"]["avg_inflight"]
-            >= sat["depth1"]["avg_inflight"]), (
-        "deeper speculation did not raise pool saturation")

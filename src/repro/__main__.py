@@ -75,9 +75,6 @@ def build_config(args: argparse.Namespace) -> CompiConfig:
         framework=not args.no_framework,
         faults=fault_kinds,
         fault_seed=getattr(args, "fault_seed", 0),
-        workers=getattr(args, "workers", 1),
-        speculation_width=getattr(args, "speculation_width", None),
-        speculation_depth=getattr(args, "speculation_depth", 4),
         solver_cache=getattr(args, "solver_cache", True),
         solver_cache_path=getattr(args, "solver_cache_path", None),
         max_rss_mb=getattr(args, "max_rss", None),
@@ -117,19 +114,6 @@ def add_common(p: argparse.ArgumentParser) -> None:
                         "solver-timeout)")
     p.add_argument("--fault-seed", type=int, default=0,
                    help="seed for the deterministic fault streams")
-    p.add_argument("--workers", type=int, default=1,
-                   help="candidate tests run concurrently in a process "
-                        "pool; results commit in serial order, so the "
-                        "campaign is identical to --workers 1 "
-                        "(fault injection forces serial)")
-    p.add_argument("--speculation-width", type=int, default=None,
-                   help="speculative candidates per step "
-                        "(default: --workers)")
-    p.add_argument("--speculation-depth", type=int, default=4,
-                   help="speculative generations chained per pipeline: "
-                        "after an adopted prediction the batch is "
-                        "refilled with siblings of the fresh trace "
-                        "(1 = no refill; inline execution ignores it)")
     p.add_argument("--solver-cache", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="counterexample cache between the solve session "

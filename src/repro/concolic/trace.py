@@ -17,8 +17,10 @@ runaway loops in instrumented code can be cancelled by the watchdog.
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Any, Optional
 
 from ..mpi.errors import MpiShutdown
@@ -30,6 +32,13 @@ from .sym import SymInt
 
 #: probe calls between stop-event polls (keeps the common path cheap)
 _STOP_POLL_PERIOD = 256
+
+
+@functools.lru_cache(maxsize=16)
+def _branch_keys(n_slots: int) -> tuple:
+    """The coverage key ``(site, outcome)`` of every branch hit-array
+    slot ``2*site + outcome`` (one table per program size)."""
+    return tuple((idx >> 1, bool(idx & 1)) for idx in range(n_slots))
 
 
 @dataclass(frozen=True)
@@ -106,18 +115,16 @@ class LightSink:
         :meth:`serialize` / :meth:`result`; idempotent, and a no-op
         before the arrays exist.
         """
+        # ``compress`` selects the hit slots in C; a run sets about a
+        # third of the slots, too many for a per-hit ``find`` loop to win
         hits = self.branch_hits
         if hits is not None:
-            add = self.coverage.branches.add
-            for idx in range(len(hits)):
-                if hits[idx]:
-                    add((idx >> 1, bool(idx & 1)))
+            self.coverage.branches.update(
+                compress(_branch_keys(len(hits)), hits))
         fhits = self.func_hits
         if fhits is not None:
-            fadd = self.coverage.functions.add
-            for fid in range(len(fhits)):
-                if fhits[fid]:
-                    fadd(fid)
+            self.coverage.functions.update(
+                compress(range(len(fhits)), fhits))
 
     def _poll_stop(self) -> None:
         self._probe_calls += 1

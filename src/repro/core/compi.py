@@ -21,10 +21,9 @@ symbolic branch) COMPI restarts from fresh random inputs, as the paper
 describes doing for SUSY-HMC's early bugs.
 
 :class:`Compi` is a façade: the loop itself lives in the staged engine
-(:mod:`repro.engine` — scheduler / executor / collector), which can also
-run ``config.workers`` speculative candidate tests concurrently while
-committing results in serial order.  The campaign dataclasses stay in
-this module so existing pickled checkpoints keep loading.
+(:mod:`repro.engine` — scheduler / executor / collector).  The campaign
+dataclasses stay in this module so existing pickled checkpoints keep
+loading.
 """
 
 from __future__ import annotations
@@ -132,7 +131,7 @@ class CampaignResult:
     #: cumulative solver/cache telemetry for the committed solve stream
     #: (None for campaigns predating the solver-cache subsystem)
     solver: Optional[SolverStats] = None
-    #: supervision/triage telemetry dict — worker kills, pool rebuilds,
+    #: supervision/triage telemetry dict — worker kills, sandboxed runs,
     #: quarantine counts, unique crash signatures (None for campaigns
     #: predating the supervision subsystem)
     supervision: Optional[dict] = None
@@ -180,19 +179,19 @@ class Compi:
     """The testing tool: drives iterative concolic testing of one target.
 
     A façade over the staged engine: the **scheduler** (search strategy +
-    incremental solve session), the **executor** (inline, or a process
-    pool when ``config.workers > 1``) and the **collector** (coverage,
-    bugs, records, persistence).  Attribute access mirrors the classic
-    monolithic loop so embedding code, checkpoints and tests written
-    against it keep working unchanged.
+    incremental solve session), the **executor** (one in-process run,
+    or a sandboxed one under supervision) and the **collector**
+    (coverage, bugs, records, persistence).  Attribute access mirrors
+    the classic monolithic loop so embedding code, checkpoints and tests
+    written against it keep working unchanged.
     """
 
     def __init__(self, program: InstrumentedProgram,
                  config: Optional[CompiConfig] = None,
                  strategy: Optional[SearchStrategy] = None,
                  specs: Optional[dict[str, InputSpec]] = None):
-        from ..engine import (CampaignEngine, Collector, Scheduler,
-                              make_executor)  # façade ↔ engine cycle
+        from ..engine import (CampaignEngine, Collector,
+                              Scheduler)  # façade ↔ engine cycle
         from ..supervise import CampaignSupervisor, CrashTriage
         self.program = program
         self.config = config or CompiConfig()
@@ -238,11 +237,9 @@ class Compi:
         self.collector = Collector(checkpoint=self._write_checkpoint,
                                    supervisor=self.supervisor,
                                    triage=self.triage)
-        self.executor = make_executor(program, cfg, self.runner,
-                                      supervisor=self.supervisor)
         self.engine = CampaignEngine(program, cfg, self.scheduler,
-                                     self.executor, self.collector,
-                                     self.runner)
+                                     self.collector, self.runner,
+                                     supervisor=self.supervisor)
 
     # ------------------------------------------------------------------
     # classic-loop attribute surface (delegation into the stages)
@@ -384,8 +381,9 @@ class Compi:
                                time_budget=time_budget, log=log)
 
     def close(self) -> None:
-        """Release executor resources (the worker pool, if any)."""
-        self.executor.close()
+        """End the campaign.  Runs hold no resources between iterations,
+        so there is nothing to release; kept so ``with Compi(...)`` and
+        explicit ``close()`` calls stay valid."""
 
     def __enter__(self) -> "Compi":
         return self

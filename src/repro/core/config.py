@@ -19,7 +19,10 @@ class CompiConfig:
     Snapshots written by older versions may carry keys that no longer
     exist — ``probe_batching`` and ``persistent_solver`` once selected
     reference probe and solver paths that now have one implementation
-    each; :meth:`from_dict` drops them.
+    each, and ``workers``, ``speculation_width``, ``speculation_depth``,
+    ``breaker_rebuilds``, ``heartbeat_stale`` and ``wedge_grace`` drove
+    a speculative process-pool executor the engine no longer has;
+    :meth:`from_dict` drops them.
     """
 
     # -- reproducibility ------------------------------------------------
@@ -53,8 +56,7 @@ class CompiConfig:
     # -- schedule-space exploration (repro.schedules) ----------------------
     #: also explore message interleavings: wildcard receives become
     #: replayable decision points and a DFS frontier over unexplored
-    #: match orders is interleaved with the input search.  Forces the
-    #: inline executor (serial ≡ --workers N still holds).
+    #: match orders is interleaved with the input search.
     explore_schedules: bool = False
     #: total alternative schedules a campaign may execute
     schedule_budget: int = 64
@@ -107,27 +109,6 @@ class CompiConfig:
     #: loop exits forever.
     divergence_detection: bool = True
 
-    # -- hot-path performance (docs/PERFORMANCE.md) ------------------------
-    #: speculation-tree depth: generations of speculative candidates the
-    #: engine may chain per pipeline.  After an adopted prediction the
-    #: in-flight batch is refilled with further siblings of the freshly
-    #: committed trace (up to ``depth - 1`` refills), keeping the worker
-    #: pool saturated between commits.  ``1`` = the pre-tree behaviour
-    #: (one sibling batch, no refill).  Inline execution ignores it.
-    speculation_depth: int = 4
-
-    # -- staged engine: parallel speculative execution ---------------------
-    #: worker processes for the executor stage; 1 = inline (serial,
-    #: bit-for-bit the classic loop).  N > 1 runs speculative candidate
-    #: tests in a process pool; committed results are merged in submission
-    #: order so final coverage and bug sets match the serial engine.
-    workers: int = 1
-    #: candidate negations the scheduler proposes per step (the serial
-    #: next plus ``width - 1`` speculative siblings); ``None`` derives it
-    #: from ``workers``.  Ignored by the inline executor, which evaluates
-    #: candidates lazily and never executes a speculation it would squash.
-    speculation_width: Optional[int] = None
-
     # -- solver acceleration (repro.solvercache) ---------------------------
     #: counterexample cache between the solve session and the solver:
     #: canonicalized slices replay cached SAT models (re-validated before
@@ -141,13 +122,13 @@ class CompiConfig:
 
     # -- supervised execution (repro.supervise) ----------------------------
     #: address-space rlimit per run, MB (None = unlimited).  Applied in
-    #: spawn workers and in the forked inline sandbox; an allocation
-    #: failure under the cap classifies as the distinct ``oom`` kind.
+    #: the forked sandbox; an allocation failure under the cap
+    #: classifies as the distinct ``oom`` kind.
     max_rss_mb: Optional[int] = None
-    #: CPU-time rlimit per run, seconds (None = unlimited).  Re-armed per
-    #: task in spawn workers; a SIGXCPU death classifies as ``cpu-cap``.
+    #: CPU-time rlimit per run, seconds (None = unlimited); a SIGXCPU
+    #: death classifies as ``cpu-cap``.
     max_cpu_s: Optional[float] = None
-    #: fork-isolate inline runs so a hard-dying target (``os._exit``, a
+    #: fork-isolate runs so a hard-dying target (``os._exit``, a
     #: fatal signal) kills a sandbox child, not the campaign.  ``None``
     #: auto-enables when an rlimit cap is set.
     sandbox: Optional[bool] = None
@@ -155,19 +136,11 @@ class CompiConfig:
     #: quarantined (skipped without execution, persisted in the log,
     #: honored across --resume)
     quarantine_kills: int = 1
-    #: pool teardowns before the circuit breaker stops rebuilding and
-    #: degrades the parallel executor to sandboxed inline execution
-    breaker_rebuilds: int = 3
     #: delta-debug each *new* crash signature down to a minimal
     #: reproducer artifact under ``<log>.repro/`` (needs a campaign log)
     minimize_crashes: bool = True
     #: sandboxed re-runs the ddmin minimizer may spend per signature
     minimize_probes: int = 48
-    #: a worker heartbeat older than this is considered stale, seconds
-    heartbeat_stale: float = 15.0
-    #: extra patience beyond the pinned batch timeout before a stale
-    #: worker is declared wedged and its pool torn down, seconds
-    wedge_grace: float = 60.0
 
     # -- robustness / resilience ------------------------------------------
     #: structural deadlock detection via the wait-for graph (vs. relying
@@ -187,18 +160,11 @@ class CompiConfig:
         return (self.seed * 1_000_003 + salt) % (2 ** 31)
 
     def sandbox_enabled(self) -> bool:
-        """Whether inline runs execute in the forked sandbox: explicit
+        """Whether runs execute in the forked sandbox: explicit
         ``sandbox``, else auto-on when any resource cap is set."""
         if self.sandbox is not None:
             return bool(self.sandbox)
         return self.max_rss_mb is not None or self.max_cpu_s is not None
-
-    def effective_speculation_width(self) -> int:
-        """Candidates per scheduler step: explicit width, else one per
-        worker (minimum 1 — the serial next is always candidate 0)."""
-        if self.speculation_width is not None:
-            return max(1, self.speculation_width)
-        return max(1, self.workers)
 
     def with_(self, **kwargs) -> "CompiConfig":
         """Functional update (used by the ablation benchmarks)."""

@@ -39,11 +39,8 @@ human-readable record, while the checkpoint carries the full mutable
 campaign state (search tree, solver, RNG streams) that JSONL cannot.
 
 The staged engine (:mod:`repro.engine`) drives both through a collector
-hook: iterations commit strictly in serial order under every executor,
-so the log and the checkpoint written after iteration *n* are identical
-whether the test ran inline or speculatively in a worker pool — killing
-a parallel campaign mid-batch and resuming reproduces the uninterrupted
-serial run exactly.
+hook after every committed iteration, so killing a campaign and resuming
+reproduces the uninterrupted run exactly.
 """
 
 from __future__ import annotations
@@ -138,7 +135,7 @@ class CampaignLog:
         })
 
     def write_quarantine(self, entry) -> None:
-        """One newly quarantined input (a supervise.pool.QuarantineEntry)."""
+        """One newly quarantined input (a supervise.sandbox.QuarantineEntry)."""
         self._write({"type": "quarantine", **entry.as_dict()})
 
     def write_supervision(self, supervision: Optional[dict]) -> None:

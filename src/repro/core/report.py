@@ -41,9 +41,7 @@ def campaign_summary(result: CampaignResult) -> str:
         if sup.get("sandboxed_runs") or sup.get("worker_kills"):
             lines.append(
                 f"supervision        : {sup.get('sandboxed_runs', 0)} "
-                f"sandboxed runs, {sup.get('worker_kills', 0)} worker kills, "
-                f"{sup.get('pool_rebuilds', 0)} pool rebuilds"
-                + (" (breaker OPEN)" if sup.get("breaker_open") else ""))
+                f"sandboxed runs, {sup.get('worker_kills', 0)} worker kills")
         if sup.get("quarantined"):
             lines.append(
                 f"quarantine         : {sup['quarantined']} input(s) "

@@ -243,12 +243,12 @@ class TestRunner:
         return min(cfg.test_timeout, max(cfg.timeout_floor, derived))
 
     def note_external_run(self, wall_time: float, timed_out: bool) -> None:
-        """Fold a run executed elsewhere (a pool worker) into the EWMA.
+        """Fold a run executed elsewhere (a sandbox child) into the EWMA.
 
-        The parallel executor runs tests in worker processes, which cannot
-        see this runner's timing state; the engine feeds committed results
-        back in commit order so adaptive timeouts and the run counter stay
-        meaningful (and checkpointable) under any executor.
+        A forked sandbox child's runner state dies with the child; the
+        supervisor feeds each outcome back in commit order so adaptive
+        timeouts and the run counter stay meaningful (and checkpointable)
+        for sandboxed campaigns too.
         """
         self._runs += 1
         if not timed_out:
@@ -285,8 +285,7 @@ class TestRunner:
     def run(self, testcase: TestCase,
             timeout: Optional[float] = None) -> RunRecord:
         """Run one test.  ``timeout`` overrides the adaptive per-test
-        timeout (the parallel executor pins one value per batch so every
-        speculative sibling sees the same deadline)."""
+        timeout."""
         try:
             return self._run(testcase, timeout=timeout)
         except (MpiError, InjectedFault):
@@ -303,8 +302,9 @@ class TestRunner:
                          ) -> tuple[RunRecord, int]:
         """Run one test, retrying transient harness errors with backoff.
 
-        Returns ``(record, retries_it_took)``.  Used by every executor so
-        serial and pooled execution share one retry policy.
+        Returns ``(record, retries_it_took)``.  Every campaign execution,
+        sandboxed or not, goes through here, so they share one retry
+        policy.
         """
         cfg = self.config
         attempt = 0

@@ -2,18 +2,15 @@
 
 The classic monolithic testing loop (``repro.core.compi.Compi``) is now
 a thin façade over this package.  See ``docs/ARCHITECTURE.md`` for the
-stage contracts and the determinism model (speculate → verify → squash).
+stage contracts.
 """
 
 from .collector import Collector
 from .engine import CampaignEngine
-from .executor import (ExecOutcome, Executor, InlineExecutor,
-                       ParallelExecutor, PendingRun, make_executor,
-                       outcome_from_record)
+from .executor import ExecOutcome, execute, outcome_from_record
 from .scheduler import Candidate, Scheduler
 
 __all__ = [
-    "CampaignEngine", "Candidate", "Collector", "ExecOutcome", "Executor",
-    "InlineExecutor", "ParallelExecutor", "PendingRun", "Scheduler",
-    "make_executor", "outcome_from_record",
+    "CampaignEngine", "Candidate", "Collector", "ExecOutcome", "Scheduler",
+    "execute", "outcome_from_record",
 ]

@@ -5,11 +5,9 @@ coverage map, the bug list, the per-iteration telemetry — and the
 persistence side effects: streaming each committed iteration to the
 campaign log and refreshing the crash-safe checkpoint through a hook.
 
-The checkpoint hook is how resume stays executor-agnostic: the engine
-commits results strictly in submission order under every executor, so
-the checkpoint written after iteration *n* is identical whether the
-execution happened inline or speculatively in a pool worker.  Killing a
-campaign mid-batch therefore loses at most the uncommitted tail, and a
+The checkpoint hook is how resume stays exact: the checkpoint written
+after iteration *n* captures everything the next iteration depends on,
+so killing a campaign loses at most the uncommitted iteration, and a
 resume reproduces the uninterrupted run exactly.
 """
 
@@ -34,8 +32,8 @@ class Collector:
     committed stream: newly quarantined inputs are persisted with the
     iteration that confirmed the kill, and every committed bug feeds
     signature dedup + reproducer minimization.  Both run at commit time,
-    in commit order — which is exactly what keeps their state identical
-    under the inline and pool executors.
+    in commit order — which is what keeps their state identical across
+    a resume.
     """
 
     def __init__(self, checkpoint: Optional[CheckpointHook] = None,

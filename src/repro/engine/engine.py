@@ -1,40 +1,13 @@
 """The staged campaign engine: scheduler → executor → collector.
 
-One engine step:
-
-1. the **scheduler** supplies the pending serial candidate plus up to
-   ``width - 1`` speculative siblings (further ranked negations of the
-   same path, pre-solved against a forked solve session);
-2. the **executor** runs the batch — lazily in-process (inline) or
-   concurrently in a worker pool (parallel);
-3. results are consumed strictly in **submission order**.  Committing a
-   result folds it into the collector (coverage, bugs, record, log,
-   checkpoint) and into the scheduler (caps, divergence, tree), then
-   derives the authoritative next serial candidate.  If the next pending
-   batch entry *predicted it exactly* (test-case equality), its
-   already-running execution is adopted — with the authoritative
-   candidate's expectation, since execution is a pure function of the
-   test case; otherwise the remaining batch is **squashed** (cancelled /
-   discarded) and a fresh batch is launched.
-
-On an adoption the pipeline has a free slot, and the paper's point
-about solver latency applies in reverse: idle workers are wasted
-executions.  The **depth-k speculation tree**
-(``CompiConfig.speculation_depth``) refills those slots with a fresh
-generation of siblings speculated from the *latest committed* trace,
-chaining up to ``speculation_depth`` generations onto one pipeline
-before forcing a fresh batch.  Refilled candidates are ordinary
-speculations — verified against the serial derivation before adoption,
-squashed on mispredict — so the committed stream stays bit-for-bit
-serial; ``speculation_depth=1`` reproduces the single-generation
-behaviour exactly.
-
-Because only verified predictions commit, the committed iteration stream
-— coverage deltas, bug set, per-iteration telemetry, RNG/solver/search
-state — is bit-for-bit identical under every executor and width.  That
-is the determinism contract the CI smoke enforces: ``--workers N`` must
-reproduce the serial engine's final covered-branch set and unique-bug
-set for a fixed seed.
+One engine step executes the scheduler's pending candidate
+(:func:`~repro.engine.executor.execute`) and commits the outcome: the
+collector folds it into coverage, bugs, the iteration record, the log
+and the checkpoint; the scheduler folds it into caps, divergence and the
+execution tree, then derives the next pending candidate.  That is
+COMPI's serial loop (run, collect the path, negate one branch, solve,
+repeat); parallelism lives in the fleet, which runs independent seeds
+and strategy arms as separate shards.
 """
 
 from __future__ import annotations
@@ -47,7 +20,7 @@ from ..core.config import CompiConfig
 from ..core.runner import TestRunner
 from ..instrument.loader import InstrumentedProgram
 from .collector import Collector
-from .executor import Executor, PendingRun
+from .executor import execute
 from .scheduler import Candidate, Scheduler
 
 
@@ -55,45 +28,19 @@ class CampaignEngine:
     """Drives one campaign through the three pluggable stages."""
 
     def __init__(self, program: InstrumentedProgram, config: CompiConfig,
-                 scheduler: Scheduler, executor: Executor,
-                 collector: Collector, runner: TestRunner):
+                 scheduler: Scheduler, collector: Collector,
+                 runner: TestRunner, supervisor: Optional[Any] = None):
         self.program = program
         self.config = config
         self.scheduler = scheduler
-        self.executor = executor
         self.collector = collector
         self.runner = runner
+        #: a :class:`~repro.supervise.sandbox.CampaignSupervisor` routes
+        #: sandboxed and quarantined runs (None = plain in-process runs)
+        self.supervisor = supervisor
         self.iteration = 0
         #: campaign wall-time accumulated by previous (resumed) sessions
         self.elapsed_prior = 0.0
-        #: speculative executions adopted without re-running (telemetry)
-        self.speculation_hits = 0
-        #: speculative executions squashed as mispredicted (telemetry)
-        self.speculation_squashes = 0
-        #: mid-batch refill generations launched by the speculation tree
-        self.speculation_refills = 0
-        #: pool-saturation telemetry: in-flight executions sampled at
-        #: each commit (average = _inflight_total / _inflight_samples)
-        self._inflight_total = 0
-        self._inflight_samples = 0
-
-    @property
-    def avg_inflight(self) -> float:
-        """Mean in-flight executions observed at commit time — the
-        pool-saturation metric BENCH_engine.json reports."""
-        if not self._inflight_samples:
-            return 0.0
-        return self._inflight_total / self._inflight_samples
-
-    # ------------------------------------------------------------------
-    @property
-    def width(self) -> int:
-        """Candidates per step: 1 unless the executor truly runs them
-        concurrently (inline evaluates lazily, so speculation would only
-        waste solver work)."""
-        if not self.executor.parallel:
-            return 1
-        return self.config.effective_speculation_width()
 
     # ------------------------------------------------------------------
     def run(self, iterations: Optional[int] = None,
@@ -118,51 +65,11 @@ class CampaignEngine:
                 return False
             return True
 
-        batch: list[tuple[Candidate, PendingRun]] = []
-        #: generations chained onto the current pipeline (speculation tree)
-        spec_gen = 1
-        try:
-            while budget_left():
-                if not batch:
-                    batch = self._launch([self.scheduler.pending])
-                    spec_gen = 1
-                self._inflight_total += len(batch)
-                self._inflight_samples += 1
-                cand, pending = batch.pop(0)
-                outcome = pending.result()
-                self._commit(cand, outcome, start)
-                done += 1
-                nxt = self.scheduler.pending
-                if batch and batch[0][0].testcase == nxt.testcase:
-                    # prediction verified: adopt the running execution,
-                    # but carry the authoritative serial expectation
-                    batch[0] = (nxt, batch[0][1])
-                    self.speculation_hits += 1
-                    room = self.width - len(batch)
-                    if (room > 0 and budget_left()
-                            and spec_gen < self.config.speculation_depth):
-                        # speculation tree: refill the freed slots with a
-                        # new generation speculated from the trace that
-                        # just committed, skipping in-flight test cases
-                        extra = self.scheduler.speculate(
-                            cand.testcase, outcome.trace, nxt, room,
-                            col.coverage, self.iteration,
-                            avoid=[c.testcase for c, _ in batch])
-                        if extra:
-                            batch.extend(self._launch(extra))
-                            self.speculation_refills += 1
-                            spec_gen += 1
-                    continue
-                self._squash(batch)
-                batch = []
-                if budget_left():
-                    spec = self.scheduler.speculate(
-                        cand.testcase, outcome.trace, nxt, self.width - 1,
-                        col.coverage, self.iteration)
-                    batch = self._launch([nxt] + spec)
-                    spec_gen = 1
-        finally:
-            self._squash(batch)
+        while budget_left():
+            cand = self.scheduler.pending
+            outcome = execute(self.runner, cand.testcase, self.supervisor)
+            self._commit(cand, outcome, start)
+            done += 1
 
         result = CampaignResult(
             program_name=self.program.name,
@@ -222,19 +129,6 @@ class CampaignEngine:
         return snapshot
 
     # ------------------------------------------------------------------
-    def _launch(self,
-                candidates: list[Candidate]) -> list[tuple[Candidate,
-                                                           PendingRun]]:
-        pendings = self.executor.submit_batch(
-            [c.testcase for c in candidates])
-        return list(zip(candidates, pendings))
-
-    def _squash(self, batch: list[tuple[Candidate, PendingRun]]) -> None:
-        for cand, pending in batch:
-            if cand.speculative:
-                self.speculation_squashes += 1
-            pending.cancel()
-
     def _commit(self, cand: Candidate, outcome, start: float) -> None:
         """Fold one executed candidate into every stage, in serial order."""
         sched, col = self.scheduler, self.collector

@@ -3,21 +3,10 @@
 The scheduler owns everything that decides *what to run next*: the
 search strategy and its execution tree, the campaign RNG, the solve
 session, discovered input caps, the restart counter, and the pending
-(next serial) candidate.  One step produces:
-
-* the **serial candidate** (:meth:`advance`) — exactly what the classic
-  loop's ``_derive_next`` would run next, with identical state mutation
-  (infeasible marks, restart draws, solver-fault draws, RNG stream);
-* up to ``width - 1`` **speculative candidates** (:meth:`speculate`) —
-  further ranked negations of the *same* path, solved against a forked
-  solve session so neither the solver RNG nor the execution tree is
-  perturbed.  Speculation is a pure prediction: the engine verifies each
-  one against the authoritative serial derivation before committing its
-  result, and squashes mispredictions.
-
-Restart candidates are never speculated past: a restart draws from the
-campaign RNG, so everything after it depends on state only the committed
-stream may advance.
+(next serial) candidate.  :meth:`Scheduler.advance` derives that
+candidate from the committed execution — exactly what the classic
+loop's ``_derive_next`` would run next, with identical state mutation
+(infeasible marks, restart draws, solver-fault draws, RNG stream).
 """
 
 from __future__ import annotations
@@ -40,11 +29,6 @@ from ..schedules import ScheduleExplorer
 from ..search.base import SearchStrategy, StrategyContext
 from ..solver.incremental import SolveSession
 
-#: extra ranked positions speculate() may examine beyond the requested
-#: width (some will be the serial position or solver-infeasible)
-_SPECULATION_PROBE_SLACK = 4
-
-
 @dataclass
 class Candidate:
     """One schedulable test case.
@@ -61,7 +45,6 @@ class Candidate:
 
     testcase: TestCase
     expect: Optional[tuple[list, int]] = None
-    speculative: bool = False
     arm: str = ""
 
 
@@ -101,8 +84,7 @@ class Scheduler:
     # ------------------------------------------------------------------
     @property
     def solver_stats(self):
-        """Cumulative telemetry of the committed solve stream (the
-        authoritative session; speculative forks keep throwaway stats)."""
+        """Cumulative telemetry of the committed solve stream."""
         return self.session.stats
 
     # ------------------------------------------------------------------
@@ -198,71 +180,13 @@ class Scheduler:
         ctx = StrategyContext(path=path, coverage=coverage,
                               iteration=iteration)
         for pos in self.strategy.propose(ctx):
-            built = self._solve_position(tc, trace, pos, domains,
-                                         self.session, frame)
+            built = self._solve_position(tc, trace, pos, domains, frame)
             if built is None:
                 self.strategy.mark_infeasible(path, pos)
                 continue
             return built
         return self._restart_candidate()
 
-    # ------------------------------------------------------------------
-    # speculative derivation (pure: no shared-state mutation)
-    # ------------------------------------------------------------------
-    def speculate(self, tc: TestCase, trace: Optional[TraceResult],
-                  serial: Candidate, width: int, coverage: CoverageMap,
-                  iteration: int,
-                  avoid: Optional[list[TestCase]] = None) -> list[Candidate]:
-        """Up to ``width`` speculative siblings of the serial candidate.
-
-        Solved against a forked solve session; infeasibility here is
-        *not* recorded (the committed stream must discover it itself), so
-        the campaign stays bit-for-bit serial regardless of speculation.
-
-        ``avoid`` lists test cases already in flight (the depth-k
-        speculation tree refills the pool mid-batch); candidates equal
-        to one of them are skipped so the pool never runs duplicates.
-        """
-        if width <= 0 or trace is None or not trace.path:
-            return []
-        if serial.expect is None:
-            return []  # restart next: RNG-chained, nothing to predict
-        serial_pos = serial.expect[1]
-        path = trace.path
-        semantics, caps_cons, domains = self._solve_context(trace)
-        ctx = StrategyContext(path=path, coverage=coverage,
-                              iteration=iteration)
-        session = self.session.fork()
-        # the fork shares the committed stream's stem frame, so the
-        # ladder warmed here is the one advance() extends next step
-        frame = session.stem(semantics + caps_cons)
-        out: list[Candidate] = []
-        probe = width + _SPECULATION_PROBE_SLACK
-        # the random/CFG strategies draw from their RNG while proposing;
-        # speculation must leave the committed stream's strategy RNG
-        # exactly where the serial derivation left it
-        rng_state = self.strategy.rng.bit_generator.state
-        try:
-            for pos in self.strategy.propose_many(ctx, probe + 1):
-                if pos == serial_pos:
-                    continue
-                built = self._solve_position(tc, trace, pos, domains,
-                                             session, frame)
-                if built is None:
-                    continue
-                built.speculative = True
-                if avoid is not None and any(
-                        built.testcase == a for a in avoid):
-                    continue   # already in flight: don't relaunch it
-                out.append(built)
-                if len(out) >= width:
-                    break
-        finally:
-            self.strategy.rng.bit_generator.state = rng_state
-        return out
-
-    # ------------------------------------------------------------------
-    # shared pieces
     # ------------------------------------------------------------------
     def _solve_context(self, trace: TraceResult):
         cfg = self.config
@@ -273,8 +197,7 @@ class Scheduler:
         return semantics, caps_cons, domains
 
     def _solve_position(self, tc: TestCase, trace: TraceResult, pos: int,
-                        domains, session: SolveSession,
-                        frame) -> Optional[Candidate]:
+                        domains, frame) -> Optional[Candidate]:
         """Solve one negation; build its candidate (None = infeasible).
 
         The query is ``frame.raw`` (the invariant MPI semantics + caps)
@@ -285,7 +208,7 @@ class Scheduler:
         path = trace.path
         prefix = [pe.constraint for pe in path[:pos]]
         negated = path[pos].constraint.negated()
-        res = session.solve_at(frame, prefix, negated, domains,
+        res = self.session.solve_at(frame, prefix, negated, domains,
                                previous=dict(trace.values))
         if res is None:
             return None

@@ -2,11 +2,9 @@
 
 Fault streams are indexed by the campaign's global run number: each
 executed test advances the per-rank RNG streams, so reproducing a fault
-schedule requires executing tests in exactly the committed order.  The
-staged engine therefore disables the parallel executor whenever faults
-are configured (speculative executions that get squashed would silently
-shift every later fault) — ``make_executor`` falls back to the inline
-executor, keeping injected campaigns bit-for-bit reproducible.
+schedule requires executing tests in exactly the committed order — which
+the engine's one-run-per-iteration loop does, keeping injected campaigns
+bit-for-bit reproducible.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ with a warm pool configured (``--warm-pool`` / spec ``pool.warm``), as
 scheduler is a single-threaded asyncio loop that supervises them:
 
 * a worker that exits nonzero, dies to a signal, overruns the shard
-  timeout, or wedges (heartbeat staleness via the supervision era's
-  :class:`~repro.supervise.pool.HeartbeatMonitor`) fails the attempt
+  timeout, or wedges (heartbeat staleness via
+  :class:`~repro.fleet.heartbeat.HeartbeatMonitor`) fails the attempt
   with a distinct kind — ``shard-crash`` / ``shard-timeout`` /
   ``shard-oom`` / ``shard-error``;
 * failed shards retry after an exponential backoff with deterministic
@@ -40,7 +40,7 @@ import signal
 import sys
 from typing import Optional
 
-from ..supervise import HeartbeatMonitor
+from .heartbeat import HeartbeatMonitor
 from .manifest import (DONE, FleetManifest, FleetState, POOL_CRASH,
                        POOL_KILL, QUARANTINED, SHARD_CRASH, SHARD_ERROR,
                        SHARD_OOM, SHARD_TIMEOUT, fleet_paths)
@@ -73,9 +73,7 @@ class FleetScheduler:
         #: shards reach a terminal state, leaving the rest incomplete
         self.stop_after_shards = stop_after_shards
         self.echo = echo or (lambda msg: None)
-        self._monitor = HeartbeatMonitor(
-            stale_after=self.policy.wedge_grace or 60.0,
-            dir=str(self.paths.heartbeats))
+        self._monitor = HeartbeatMonitor(str(self.paths.heartbeats))
         self._stop = False
         self._terminal = 0
         self._procs: dict[str, asyncio.subprocess.Process] = {}

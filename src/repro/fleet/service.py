@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 from typing import Callable, Optional, Union
 
+from .heartbeat import HeartbeatMonitor
 from .manifest import (DONE, FleetManifest, FleetState, QUARANTINED,
                        fleet_paths, kill_orphans, load_state)
 from .results import merge_results, report_text, status_text
@@ -129,12 +130,10 @@ def clear_heartbeats(root: Union[str, Path]) -> int:
     wedge detector misread a dead worker's final sign of life as a
     fresh one.  Returns the number of files removed.
     """
-    from ..supervise import HeartbeatMonitor
     paths = fleet_paths(root)
     if not paths.heartbeats.is_dir():
         return 0
-    return HeartbeatMonitor(stale_after=1.0,
-                            dir=str(paths.heartbeats)).cleanup()
+    return HeartbeatMonitor(str(paths.heartbeats)).cleanup()
 
 
 def fleet_status(root: Union[str, Path],

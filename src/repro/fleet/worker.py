@@ -25,7 +25,7 @@ Contract with the scheduler:
   attempt's coherent record, and a quarantined shard leaves the partial
   log of its final attempt for the results store);
 * every log record touches the shard's heartbeat file (reusing
-  :class:`~repro.supervise.pool.HeartbeatMonitor`), which is how the
+  :class:`~repro.fleet.heartbeat.HeartbeatMonitor`), which is how the
   scheduler tells "slow but progressing" from "wedged";
 * a finished attempt atomically writes ``shards/<id>.result.json``
   before exiting 0 — the scheduler treats exit 0 *without* the result
@@ -46,7 +46,8 @@ from typing import Union
 
 from ..core.atomicio import atomic_write_json, read_jsonl
 from ..core.persist import CampaignLog
-from ..supervise import HeartbeatMonitor, ResourceLimits, apply_rlimits
+from ..supervise import ResourceLimits, apply_rlimits
+from .heartbeat import HeartbeatMonitor
 from .manifest import fleet_paths
 from .spec import FleetSpec, ShardSpec, build_strategy
 
@@ -106,8 +107,7 @@ def execute_shard(root: Union[str, Path], shard: ShardSpec) -> dict:
     from ..core import Compi
 
     paths = fleet_paths(root)
-    heartbeat = HeartbeatMonitor(stale_after=1.0,
-                                 dir=str(paths.heartbeats))
+    heartbeat = HeartbeatMonitor(str(paths.heartbeats))
     hb_path = heartbeat.path_for(shard.shard_id)
     HeartbeatMonitor.touch(hb_path)
 

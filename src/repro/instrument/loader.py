@@ -198,12 +198,12 @@ def instrument_program(module_names: list[str], entry_module: Optional[str] = No
 
     Determinism contract: instrumentation is a pure function of the
     module *sources* — site IDs are assigned in AST visitation order, so
-    two loads of the same modules (in this process, in a spawn worker's
-    initializer, or across campaign resumes) produce identical site
-    registries.  The engine's parallel executor depends on this: worker
-    processes re-instrument by module name and must agree with the
-    parent on every site ID, and on the size of the per-sink hit arrays
-    the probes index by those IDs (see :func:`make_probes`).
+    two loads of the same modules (in this process, in a fleet shard
+    worker, or across campaign resumes) produce identical site
+    registries.  Checkpoints and campaign logs depend on this: a resumed
+    or replayed campaign re-instruments by module name and must agree
+    with the original on every site ID, and on the size of the per-sink
+    hit arrays the probes index by those IDs (see :func:`make_probes`).
     """
     if not module_names:
         raise ValueError("no modules to instrument")

@@ -64,8 +64,8 @@ def _start_on_one_cpu(threads: list[threading.Thread]) -> None:
     instead of a wake-up on another, possibly idle, CPU — the dominant
     hand-off cost on a small VM.  Threads inherit the affinity of the
     thread that starts them; the caller's own mask is restored after.
-    Taking the caller's CPU keeps concurrent jobs (pool workers, fleet
-    daemons) spread the way the OS spread them.  Where Linux affinity
+    Taking the caller's CPU keeps concurrent jobs (fleet shard workers
+    and daemons) spread the way the OS spread them.  Where Linux affinity
     is unavailable the threads simply start unconfined."""
     mask = None
     if hasattr(os, "sched_setaffinity"):

@@ -13,14 +13,14 @@ runs several strategies **as bandit arms of one campaign**:
   budget toward the arm currently buying the most coverage per unit of
   (deterministic, event-count-proxied) cost;
 * the :class:`~.scheduler.PortfolioScheduler` multiplexes the N
-  arm-schedulers into the staged engine's speculate→verify→squash
-  pipeline — multiple schedulers, one executor, one collector — with
+  arm-schedulers into the staged engine's commit loop — multiple
+  schedulers, one executor, one collector — with
   commit-order attribution of which arm produced each iteration.
 
 Determinism: the bandit never reads wall-clock time (see
 ``docs/ARCHITECTURE.md``), so portfolio campaigns keep the engine's
-crown-jewel invariants — fixed seed ⇒ ``--workers N`` ≡ serial,
-cache-on ≡ cache-off, and ``--resume`` ≡ uninterrupted.
+crown-jewel invariants — fixed seed ⇒ same campaign, cache-on ≡
+cache-off, and ``--resume`` ≡ uninterrupted.
 """
 
 from .arms import (ARM_NAMES, DEFAULT_PORTFOLIO, build_arm_strategy,

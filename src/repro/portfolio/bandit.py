@@ -17,7 +17,7 @@ Two deliberate deviations keep campaigns replayable:
   computed by :func:`repro.portfolio.scheduler.iteration_cost` (trace
   event count), never measured seconds — measured time would make the
   arm sequence depend on machine load and break the engine's
-  ``--workers N`` ≡ serial and ``--resume`` ≡ uninterrupted invariants.
+  same-seed ≡ same-campaign and ``--resume`` ≡ uninterrupted invariants.
   Measured solver seconds are still *recorded* per arm, as telemetry.
 * **Seeded tie-breaks.**  Ties are broken by a dedicated, picklable
   ``random.Random`` stream seeded from the campaign seed, so two runs

@@ -1,7 +1,7 @@
 """PortfolioScheduler: N arm-schedulers multiplexed into one pipeline.
 
 The staged engine (:mod:`repro.engine`) talks to *a* scheduler through a
-narrow surface — ``pending``, ``observe``, ``advance``, ``speculate``,
+narrow surface — ``pending``, ``observe``, ``advance``,
 ``resume_candidate`` plus a handful of state attributes.  This module
 generalises the single-strategy :class:`~repro.engine.scheduler.Scheduler`
 to a **portfolio**: each arm keeps its own full ``Scheduler`` (strategy,
@@ -18,7 +18,7 @@ Commit-order attribution: every candidate leaving this scheduler is
 tagged with its arm's name, the collector copies the tag onto the
 committed iteration record, and the bandit is credited strictly in
 commit order — so the arm sequence is a pure function of the campaign
-seed and the committed stream, never of wall-clock or worker count.
+seed and the committed stream, never of wall-clock.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def iteration_cost(trace: Optional[TraceResult]) -> float:
     seconds would break replayability (see :mod:`.bandit`).  The trace
     event count is the deterministic stand-in: it dominates both
     execution time (events executed) and solver time (constraints
-    recorded), and is identical across worker counts, cache settings,
+    recorded), and is identical across hosts, cache settings,
     and resumes.  Errored runs (no trace) cost the baseline 1.0.
     """
     if trace is None:
@@ -115,9 +115,6 @@ class PortfolioScheduler:
         self._caps = shared_caps
         self._last_covered = 0
         self.active = self.bandit.select()
-        #: the arm whose candidate the engine last committed/launched —
-        #: speculation is only valid while the active arm hasn't switched
-        self._committed = self.active
         for a in self.arms:
             a.scheduler.pending.arm = a.name
 
@@ -218,27 +215,8 @@ class PortfolioScheduler:
         arm.stats.solver_solves += stats.solves - solves0
         arm.stats.solver_time += stats.solve_time - time0
         self.bandit.update(self.active, gained, cost)
-        self._committed = self.active
         self.active = self.bandit.select()
         return self._active_arm.scheduler.pending
-
-    def speculate(self, tc, trace: Optional[TraceResult],
-                  serial: Candidate, width: int, coverage: CoverageMap,
-                  iteration: int, avoid=None) -> list[Candidate]:
-        """Speculative siblings — only while the arm did not switch.
-
-        If the bandit just handed the budget to a different arm, the
-        serial candidate belongs to the *new* arm while ``trace`` came
-        from the old one; predicted negations of the old path would
-        never be adopted, so speculation yields nothing.
-        """
-        if self.active != self._committed:
-            return []
-        out = self._active_arm.scheduler.speculate(
-            tc, trace, serial, width, coverage, iteration, avoid=avoid)
-        for cand in out:
-            cand.arm = self._active_arm.name
-        return out
 
     def resume_candidate(self) -> Candidate:
         cand = self._active_arm.scheduler.resume_candidate()
@@ -281,7 +259,6 @@ class PortfolioScheduler:
         return {
             "version": 1,
             "active": self.active,
-            "committed": self._committed,
             "last_covered": self._last_covered,
             "caps": self._caps,
             "bandit": self.bandit.state_dict(),
@@ -305,7 +282,6 @@ class PortfolioScheduler:
                 f"configured arms {ours}")
         self.bandit.load_state(state["bandit"])
         self.active = state["active"]
-        self._committed = state["committed"]
         self._last_covered = state["last_covered"]
         self.caps = state["caps"]  # setter re-shares across arms
         for arm, entry in zip(self.arms, state["arms"]):

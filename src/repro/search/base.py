@@ -22,7 +22,6 @@ strategy; only the frontier is shared.
 
 from __future__ import annotations
 
-import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -147,17 +146,6 @@ class SearchStrategy(ABC):
         """Yield path positions to negate, best first.  The driver tries
         them in order; an UNSAT position gets :meth:`mark_infeasible` and
         the next one is pulled."""
-
-    def propose_many(self, ctx: StrategyContext, k: int) -> list[int]:
-        """Up to ``k`` candidate positions, best first (multi-negation).
-
-        The staged engine's scheduler uses this to bound speculative
-        solving: the serial driver keeps pulling :meth:`propose` until the
-        first feasible flip, while speculation peeks at the next few
-        ranked candidates without consuming the whole proposal stream
-        (and therefore without tripping strategy end-of-stream state).
-        """
-        return list(itertools.islice(self.propose(ctx), max(0, k)))
 
     def mark_infeasible(self, path: list[PathEntry], position: int) -> None:
         self.tree.mark_infeasible(path, position)

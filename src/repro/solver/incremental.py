@@ -22,7 +22,6 @@ a cached UNSAT verdict short-circuits the solve.  See docs/SOLVER.md.
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -119,8 +118,8 @@ def solve_incremental(constraints: list[Constraint], negated: Constraint,
 
     ``simplifier`` replaces :func:`simplify` — :meth:`SolveSession.solve_at`
     passes a pass-through for a context its stem ladder already
-    simplified (results are identical either way); ``cache`` is a counterexample cache (or a
-    speculative fork view) consulted before — and fed after — the
+    simplified (results are identical either way); ``cache`` is a
+    counterexample cache consulted before — and fed after — the
     backtracking solve; ``stats`` accumulates session telemetry.
     """
     solver = solver or Solver()
@@ -205,8 +204,7 @@ class _StemFrame:
     first-appearance order a joint pass would compute.
 
     Ladder entries are pure functions of ``(raw, path[:k])``: mutation
-    is cache warming, never semantics, which is why forked sessions may
-    share frames with the committed stream.
+    is cache warming, never semantics.
     """
 
     __slots__ = ("raw", "_path", "_ladder")
@@ -239,13 +237,7 @@ class SolveSession:
     The session owns the solver, the counterexample cache, the stem
     frame, and the cumulative :class:`SolverStats` that the campaign
     report surfaces.  The engine scheduler funnels every committed
-    (serial) negation through one long-lived session, and gives each
-    speculative batch a :meth:`fork` — a snapshot solver plus a
-    write-buffered cache view, so neither solver state nor cache
-    contents (nor LRU recency, nor the disk tier) can be perturbed by
-    speculation.  A forked session is reused across the whole batch
-    (one snapshot per batch, not per candidate), which is what makes
-    k-wide speculation cheap enough to schedule every step.
+    negation through one long-lived session.
 
     **Persistent incremental solving**: the scheduler installs each
     trace's invariant stem (MPI semantics + caps) once with
@@ -303,16 +295,3 @@ class SolveSession:
                                  previous=previous, solver=self.solver,
                                  simplifier=_identity, cache=self.cache,
                                  stats=self.stats)
-
-    def fork(self) -> "SolveSession":
-        """An independent session whose solver state is a snapshot of
-        this one — speculation runs here.  The fork reads the shared
-        cache but buffers its writes, and keeps throwaway telemetry:
-        only the committed stream feeds the campaign report.  The stem
-        frame is shared with the parent (ladder entries are pure
-        functions of stem + prefix, so cross-warming is sound)."""
-        fork_cache = self.cache.fork() if self.cache is not None else None
-        forked = SolveSession(copy.deepcopy(self.solver), cache=fork_cache,
-                              stats=SolverStats())
-        forked._frame = self._frame
-        return forked

@@ -7,22 +7,20 @@ and the backtracking :class:`repro.solver.search.Solver`:
   relevant previous values) into a key invariant under variable
   renaming and constraint order;
 * :mod:`.cache` — the counterexample cache: an in-memory LRU of SAT
-  models / UNSAT verdicts with an optional JSONL disk tier, plus the
-  write-buffered fork view speculative solving uses;
+  models / UNSAT verdicts with an optional JSONL disk tier;
 * :mod:`.telemetry` — cumulative solver statistics surfaced in the
   campaign report and the solver-cache benchmark.
 
-See docs/SOLVER.md for the canonicalization algorithm, the tier and
-determinism model, and the fork write-buffer rule.
+See docs/SOLVER.md for the canonicalization algorithm and the tier and
+determinism model.
 """
 
-from .cache import (DEFAULT_CAPACITY, CacheEntry, CounterexampleCache,
-                    SpeculativeCacheView)
+from .cache import DEFAULT_CAPACITY, CacheEntry, CounterexampleCache
 from .canonical import canonical_key, canonicalize_model, decanonicalize
 from .telemetry import SolverStats
 
 __all__ = [
     "DEFAULT_CAPACITY", "CacheEntry", "CounterexampleCache",
-    "SolverStats", "SpeculativeCacheView", "canonical_key",
+    "SolverStats", "canonical_key",
     "canonicalize_model", "decanonicalize",
 ]

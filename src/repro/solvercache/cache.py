@@ -13,12 +13,6 @@ canonical indices or an UNSAT verdict:
   a torn final line (the one a crash can cut mid-record), matching the
   campaign log's crash model.
 
-Speculative solving must not perturb the committed stream: a
-:meth:`CounterexampleCache.fork` returns a read-through view whose
-reads skip LRU recency updates and whose writes land in a private
-buffer that is discarded with the fork (see docs/SOLVER.md, the fork
-write-buffer rule).
-
 A SAT hit is **never trusted blindly** — the caller replays the
 de-canonicalized model through ``check_assignment`` before use, so a
 stale or corrupted entry degrades to a miss, not to an unsound model.
@@ -75,7 +69,7 @@ class CounterexampleCache:
     # ------------------------------------------------------------------
     def get(self, key: str, touch: bool = True) -> Optional[CacheEntry]:
         """Look up a verdict; ``touch=False`` skips the LRU recency
-        update (speculative reads must not reorder evictions)."""
+        update (a read that must not reorder evictions)."""
         entry = self._entries.get(key)
         if entry is not None and touch:
             self._entries.move_to_end(key)
@@ -95,10 +89,6 @@ class CounterexampleCache:
         if persist and changed and self.path is not None:
             with self.path.open("a", encoding="utf-8") as fh:
                 fh.write(entry.to_json(key) + "\n")
-
-    def fork(self) -> "SpeculativeCacheView":
-        """Read-through, write-buffered view for speculative solving."""
-        return SpeculativeCacheView(self)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -129,28 +119,3 @@ class CounterexampleCache:
             # load without re-persisting (the entry is already on disk)
             self.put(key, entry, persist=False)
 
-
-class SpeculativeCacheView:
-    """The fork write-buffer: reads fall through to the base cache
-    (without touching recency); writes stay private to the fork and die
-    with it, so a squashed speculation leaves no trace in the committed
-    cache, its eviction order, or its disk tier."""
-
-    def __init__(self, base: CounterexampleCache):
-        self._base = base
-        self._buffer: dict[str, CacheEntry] = {}
-
-    def get(self, key: str, touch: bool = True) -> Optional[CacheEntry]:
-        entry = self._buffer.get(key)
-        if entry is not None:
-            return entry
-        return self._base.get(key, touch=False)
-
-    def put(self, key: str, entry: CacheEntry, persist: bool = True) -> None:
-        self._buffer[key] = entry
-
-    def fork(self) -> "SpeculativeCacheView":
-        return SpeculativeCacheView(self._base)
-
-    def __len__(self) -> int:
-        return len(self._buffer) + len(self._base)

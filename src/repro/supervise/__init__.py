@@ -8,10 +8,8 @@ harvested crashes into something actionable:
 
 * :mod:`repro.supervise.sandbox` — fork-isolated execution under
   ``resource.setrlimit`` caps, with distinct ``oom`` / ``cpu-cap``
-  classification for resource kills;
-* :mod:`repro.supervise.pool` — pool supervision: broken-pool recovery,
-  canonical-input quarantine, the rebuild circuit breaker, and worker
-  heartbeats;
+  classification for resource kills, plus the campaign supervisor's
+  kill accounting and canonical-input quarantine;
 * :mod:`repro.supervise.triage` — signature-based crash dedup and the
   self-contained reproducer artifacts under ``<log>.repro/``;
 * :mod:`repro.supervise.minimize` — ddmin delta-debugging of the
@@ -19,17 +17,16 @@ harvested crashes into something actionable:
 """
 
 from .minimize import ddmin, minimize_inputs
-from .pool import (CampaignSupervisor, HeartbeatMonitor, QuarantineEntry,
-                   SupervisionStats)
-from .sandbox import (ResourceLimits, SandboxDeath, apply_rlimits,
-                      arm_cpu_limit, run_sandboxed)
+from .sandbox import (CampaignSupervisor, QuarantineEntry, ResourceLimits,
+                      SandboxDeath, SupervisionStats, apply_rlimits,
+                      arm_cpu_limit, canonical_input_key, run_sandboxed)
 from .triage import (CrashTriage, crash_signature, load_artifacts,
                      repro_dir, signature_filename)
 
 __all__ = [
-    "CampaignSupervisor", "CrashTriage", "HeartbeatMonitor",
-    "QuarantineEntry", "ResourceLimits", "SandboxDeath",
-    "SupervisionStats", "apply_rlimits", "arm_cpu_limit",
-    "crash_signature", "ddmin", "load_artifacts", "minimize_inputs",
-    "repro_dir", "run_sandboxed", "signature_filename",
+    "CampaignSupervisor", "CrashTriage", "QuarantineEntry",
+    "ResourceLimits", "SandboxDeath", "SupervisionStats", "apply_rlimits",
+    "arm_cpu_limit", "canonical_input_key", "crash_signature", "ddmin",
+    "load_artifacts", "minimize_inputs", "repro_dir", "run_sandboxed",
+    "signature_filename",
 ]

@@ -1,4 +1,5 @@
-"""Fork-isolated, resource-capped execution of one test.
+"""Fork-isolated, resource-capped execution of one test, and the
+campaign supervisor that routes runs through it.
 
 The virtual MPI substrate runs target ranks on *threads of the campaign
 process*, so a target that dies hard — ``os._exit``, a fatal signal, a
@@ -10,14 +11,18 @@ picklable :class:`~repro.engine.executor.ExecOutcome` back over a pipe:
 * a clean child returns the outcome exactly as an in-process run would
   (execution is a pure function of the test case);
 * a child that raises a harness-level exception re-raises it in the
-  parent, matching the unsandboxed inline path and the pool path;
+  parent, matching the unsandboxed path;
 * a child that dies hard yields a :class:`SandboxDeath` the supervisor
   turns into a synthesized ``worker-killed`` / ``oom`` / ``cpu-cap``
   outcome — the campaign keeps going.
 
-The same rlimits are applied inside spawn pool workers
-(:func:`apply_rlimits` in ``worker_init``, :func:`arm_cpu_limit` per
-task), so a resource hog dies the same death under either executor.
+:class:`CampaignSupervisor` owns the campaign's kill accounting and
+quarantine: a confirmed hard death is charged to the test's canonical
+input (:func:`canonical_input_key`); after ``quarantine_kills`` kills
+the input is **quarantined** — persisted in the campaign log, honored
+across ``--resume``, and skipped (with a replayed synthesized outcome)
+instead of executed.  Every state change follows the committed stream,
+so a resumed campaign evolves the same quarantine state.
 
 Platform note: forking requires POSIX (``os.fork``); on platforms
 without it the sandbox degrades to an unprotected in-process run.
@@ -25,6 +30,8 @@ without it the sandbox degrades to an unprotected in-process run.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import os
 import pickle
@@ -33,7 +40,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..core.config import CompiConfig
-from ..core.runner import KIND_CPU, KIND_OOM, KIND_SEGFAULT, KIND_WORKER
+from ..core.runner import (KIND_CPU, KIND_OOM, KIND_SEGFAULT, KIND_WORKER,
+                           ErrorInfo)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.runner import TestRunner
@@ -95,7 +103,7 @@ def _set_soft(res: int, soft: int) -> None:
 def apply_rlimits(limits: ResourceLimits) -> None:
     """Apply the address-space cap (absolute) and arm the CPU cap.
 
-    Called once per sandbox child and once per spawn-worker initializer.
+    Called once per sandbox child and once per fleet shard worker.
     No-op without caps or without the ``resource`` module (non-POSIX).
     """
     if not limits.any:
@@ -112,7 +120,7 @@ def apply_rlimits(limits: ResourceLimits) -> None:
 def arm_cpu_limit(limits: ResourceLimits) -> None:
     """(Re-)arm the CPU cap relative to CPU already consumed.
 
-    ``RLIMIT_CPU`` counts whole-process CPU, so a long-lived pool worker
+    ``RLIMIT_CPU`` counts whole-process CPU, so a long-lived worker
     must raise the soft limit before every task — otherwise the cap
     would measure the worker's lifetime, not the run.  The hard limit is
     never lowered, so re-raising the soft limit stays legal.
@@ -137,8 +145,8 @@ def reclassify_resource(outcome: "ExecOutcome",
     the target, which the paper-taxonomy classifier files under
     ``segfault``.  With a cap configured that is a resource kill, not a
     target bug of the segfault family — give it its own kind so triage
-    does not conflate them.  Applied in the sandbox child and in the
-    spawn worker (both see the in-process exception).
+    does not conflate them.  Applied in the sandbox child, which sees
+    the in-process exception.
     """
     import dataclasses
     err = outcome.error
@@ -175,7 +183,7 @@ def _child_main(write_fd: int, runner: "TestRunner", testcase: "TestCase",
     Never returns.  Ships ``("ok", outcome)`` for a completed run —
     including runs that classified a target bug — or ``("err", exc)``
     for a harness-level exception, which the parent re-raises so the
-    sandboxed inline path behaves exactly like the unsandboxed one.
+    sandboxed path behaves exactly like the unsandboxed one.
     """
     status = 0
     try:
@@ -205,7 +213,7 @@ def run_sandboxed(runner: "TestRunner", testcase: "TestCase",
 
     Returns ``(outcome, None)`` for a completed run, ``(None, death)``
     when the child died hard, and re-raises any harness-level exception
-    the child shipped (parity with the unsandboxed executors).  Without
+    the child shipped (parity with the unsandboxed path).  Without
     ``os.fork`` the run degrades to an unprotected in-process execution.
     """
     if not sandbox_supported():  # pragma: no cover - non-POSIX fallback
@@ -234,3 +242,198 @@ def run_sandboxed(runner: "TestRunner", testcase: "TestCase",
             return value, None
         raise value
     return None, _death_from_status(wait_status, limits)
+
+
+def canonical_input_key(testcase: "TestCase") -> str:
+    """Stable identity of one test input: inputs + launch setup.
+
+    Invariant under input-dict insertion order, so the same logical test
+    maps to the same key in every session (quarantine must survive
+    ``--resume`` and checkpoint round-trips).
+    """
+    blob = json.dumps([sorted(testcase.inputs.items()),
+                       testcase.setup.nprocs, testcase.setup.focus],
+                      sort_keys=True)
+    return hashlib.sha1(blob.encode("utf-8")).hexdigest()
+
+
+@dataclass
+class QuarantineEntry:
+    """One quarantined canonical input (persisted in the campaign log)."""
+
+    key: str
+    inputs: dict
+    nprocs: int
+    focus: int
+    kills: int
+    error_kind: str
+    error_message: str
+
+    def as_dict(self) -> dict:
+        return {"key": self.key, "inputs": dict(self.inputs),
+                "nprocs": self.nprocs, "focus": self.focus,
+                "kills": self.kills, "error_kind": self.error_kind,
+                "error_message": self.error_message}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "QuarantineEntry":
+        return cls(key=d["key"], inputs=dict(d["inputs"]),
+                   nprocs=d["nprocs"], focus=d["focus"], kills=d["kills"],
+                   error_kind=d["error_kind"],
+                   error_message=d["error_message"])
+
+
+@dataclass
+class SupervisionStats:
+    """Campaign-level supervision telemetry (picklable snapshot)."""
+
+    worker_kills: int = 0
+    quarantined: int = 0
+    quarantine_skips: int = 0
+    sandboxed_runs: int = 0
+
+    def as_dict(self) -> dict:
+        return {"worker_kills": self.worker_kills,
+                "quarantined": self.quarantined,
+                "quarantine_skips": self.quarantine_skips,
+                "sandboxed_runs": self.sandboxed_runs}
+
+
+class CampaignSupervisor:
+    """Shared supervision state for one campaign.
+
+    Owns the resource limits, the sandboxed run path, kill counts and
+    the quarantine list.  The committed iteration stream drives every
+    state change, so a resumed campaign evolves identical quarantine
+    state.
+    """
+
+    def __init__(self, config: CompiConfig, runner: "TestRunner"):
+        self.config = config
+        self.runner = runner
+        self.limits = ResourceLimits.from_config(config)
+        self.kill_counts: dict[str, int] = {}
+        self.quarantine: dict[str, QuarantineEntry] = {}
+        #: entries quarantined since the collector last drained (log I/O)
+        self._fresh_quarantines: list[QuarantineEntry] = []
+        self.stats = SupervisionStats()
+
+    # ------------------------------------------------------------------
+    @property
+    def sandbox_inline(self) -> bool:
+        """Runs go through the forked sandbox."""
+        return self.config.sandbox_enabled()
+
+    # ------------------------------------------------------------------
+    # quarantine bookkeeping
+    # ------------------------------------------------------------------
+    def is_quarantined(self, testcase: "TestCase") -> bool:
+        return canonical_input_key(testcase) in self.quarantine
+
+    def record_kill(self, testcase: "TestCase",
+                    death: SandboxDeath) -> Optional[QuarantineEntry]:
+        """Charge one *confirmed* hard kill to the test's canonical input.
+
+        Returns the new quarantine entry when this kill crossed the
+        ``quarantine_kills`` threshold, else None.
+        """
+        key = canonical_input_key(testcase)
+        self.kill_counts[key] = self.kill_counts.get(key, 0) + 1
+        self.stats.worker_kills += 1
+        if (key not in self.quarantine
+                and self.kill_counts[key] >= self.config.quarantine_kills):
+            entry = QuarantineEntry(
+                key=key, inputs=dict(testcase.inputs),
+                nprocs=testcase.setup.nprocs, focus=testcase.setup.focus,
+                kills=self.kill_counts[key], error_kind=death.kind,
+                error_message=death.message(self.limits))
+            self.quarantine[key] = entry
+            self._fresh_quarantines.append(entry)
+            self.stats.quarantined = len(self.quarantine)
+            return entry
+        return None
+
+    def drain_new_quarantines(self) -> list[QuarantineEntry]:
+        """New entries since the last drain (the collector persists them
+        right after the iteration that confirmed the kill)."""
+        fresh, self._fresh_quarantines = self._fresh_quarantines, []
+        return fresh
+
+    def load_entries(self, entries: list[QuarantineEntry]) -> None:
+        """Restore quarantine state on resume (checkpoint or JSONL)."""
+        for entry in entries:
+            self.quarantine[entry.key] = entry
+            self.kill_counts[entry.key] = max(
+                self.kill_counts.get(entry.key, 0), entry.kills)
+        self.stats.quarantined = len(self.quarantine)
+
+    # ------------------------------------------------------------------
+    # synthesized outcomes
+    # ------------------------------------------------------------------
+    def _synthesized(self, testcase: "TestCase", kind: str,
+                     message: str) -> "ExecOutcome":
+        from ..concolic.coverage import CoverageMap
+        from ..engine.executor import ExecOutcome
+        # timed_out=True keeps the synthesized (zero) wall time out of
+        # the runner's EWMA while still counting the run
+        return ExecOutcome(
+            testcase=testcase, trace=None, coverage=CoverageMap(),
+            error=ErrorInfo(kind=kind, global_rank=-1, message=message),
+            wall_time=0.0, timed_out=True)
+
+    def death_outcome(self, testcase: "TestCase",
+                      death: SandboxDeath) -> "ExecOutcome":
+        return self._synthesized(testcase, death.kind,
+                                 death.message(self.limits))
+
+    def quarantine_outcome(self, testcase: "TestCase") -> "ExecOutcome":
+        """Replay the quarantined input's recorded failure without
+        executing anything — same error kind and message as the original
+        kill, so dedup folds the skip into the confirmed bug."""
+        entry = self.quarantine[canonical_input_key(testcase)]
+        self.stats.quarantine_skips += 1
+        return self._synthesized(testcase, entry.error_kind,
+                                 entry.error_message)
+
+    # ------------------------------------------------------------------
+    # the supervised run path
+    # ------------------------------------------------------------------
+    def run_inline(self, testcase: "TestCase") -> "ExecOutcome":
+        """One supervised execution, in commit order.
+
+        Quarantined inputs are skipped; everything else runs in the
+        forked sandbox.  A hard death is charged to the input and
+        surfaces as a synthesized outcome.  The child's runner state
+        dies with it, so the outcome is folded into the parent runner's
+        EWMA and run counter here.
+        """
+        if self.is_quarantined(testcase):
+            outcome = self.quarantine_outcome(testcase)
+        else:
+            self.stats.sandboxed_runs += 1
+            result, death = run_sandboxed(self.runner, testcase, None,
+                                          self.limits)
+            if death is None:
+                outcome = result
+            else:
+                if death.kind == KIND_WORKER:
+                    self.record_kill(testcase, death)
+                outcome = self.death_outcome(testcase, death)
+        self.runner.note_external_run(outcome.wall_time, outcome.timed_out)
+        return outcome
+
+    # ------------------------------------------------------------------
+    # persistence
+    # ------------------------------------------------------------------
+    def stats_snapshot(self) -> SupervisionStats:
+        return SupervisionStats(**self.stats.as_dict())
+
+    def state_dict(self) -> dict:
+        """Checkpointable slice: what exact resume must restore."""
+        return {"kill_counts": dict(self.kill_counts),
+                "quarantine": [e.as_dict() for e in self.quarantine.values()]}
+
+    def load_state(self, state: dict) -> None:
+        self.kill_counts.update(state.get("kill_counts", {}))
+        self.load_entries([QuarantineEntry.from_dict(d)
+                           for d in state.get("quarantine", [])])

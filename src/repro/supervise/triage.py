@@ -103,8 +103,8 @@ class CrashTriage:
     """Per-campaign signature dedup + reproducer emission.
 
     Driven by the collector on every *committed* bug, so its state is a
-    pure function of the committed stream — identical under the inline
-    and pool executors, and checkpointable for exact resume.
+    pure function of the committed stream, and checkpointable for exact
+    resume.
     """
 
     def __init__(self, runner: "TestRunner",

@@ -9,9 +9,8 @@ concolic search starts from the safe default ``x = 10``, negates the
 ``x > 0`` sanity branch, and the solver hands back an input that kills
 the executing process mid-iteration.
 
-* unsupervised serial campaigns die on it — run with ``--sandbox``;
-* pool workers die with ``BrokenProcessPool`` — the parallel executor
-  re-runs the suspect in the forked sandbox, confirms the kill,
+* unsupervised campaigns die on it — run with ``--sandbox``: the
+  forked sandbox child dies instead, the supervisor confirms the kill,
   synthesizes a ``worker-killed`` outcome and quarantines the input.
 
 The surviving branches (the ``y`` comparison and the work loop) give the

@@ -1,10 +1,10 @@
 """Golden trajectories: wall-clock-free digests of fixed-seed campaigns.
 
-Every execution mode (serial, ``--workers N`` with speculation, resumed
-from a checkpoint, solver cache off) must reproduce the same committed
-campaign.  Instead of running a second implementation next to the one
-under test and comparing the two, each mode is checked against a digest
-recorded once and committed here.
+Every execution mode (uninterrupted, resumed from a checkpoint, solver
+cache off) must reproduce the same committed campaign.  Instead of
+running a second implementation next to the one under test and
+comparing the two, each mode is checked against a digest recorded once
+and committed here.
 
 :func:`campaign_digest` returns two parts:
 

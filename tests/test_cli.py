@@ -79,6 +79,15 @@ def test_unknown_target_rejected():
         main(["run", "--target", "nope"])
 
 
+@pytest.mark.parametrize("flag", ["--workers", "--speculation-width",
+                                  "--speculation-depth"])
+def test_run_rejects_retired_pool_flags(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--target", "demo", "--iterations", "1", flag, "2"])
+    assert exc.value.code == 2  # argparse usage error, nothing ran
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+
 def test_unknown_variant_rejected():
     with pytest.raises(SystemExit):
         main(["compare", "--target", "demo", "--variants", "R,bogus"])

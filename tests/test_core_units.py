@@ -191,11 +191,14 @@ def test_testcase_describe():
 @pytest.mark.parametrize("value", [True, False])
 def test_config_snapshot_with_retired_keys_loads(value):
     """Checkpoints, JSONL metas and fleet results written while the probe
-    and solver paths had A/B switches carry their keys; they still load,
-    and the keys select nothing."""
-    snapshot = dict(dataclasses.asdict(CompiConfig(seed=5, workers=2)),
-                    probe_batching=value, persistent_solver=value)
-    assert CompiConfig.from_dict(snapshot) == CompiConfig(seed=5, workers=2)
+    and solver paths had A/B switches, and while the engine had a
+    speculative process pool, carry their keys; they still load, and the
+    keys select nothing."""
+    snapshot = dict(dataclasses.asdict(CompiConfig(seed=5)),
+                    probe_batching=value, persistent_solver=value,
+                    workers=2, speculation_width=3, speculation_depth=1,
+                    breaker_rebuilds=1, heartbeat_stale=5.0, wedge_grace=9.0)
+    assert CompiConfig.from_dict(snapshot) == CompiConfig(seed=5)
 
 
 # ----------------------------------------------------------------------

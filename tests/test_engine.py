@@ -1,26 +1,23 @@
-"""Staged engine: parallel determinism, executor selection, mid-batch
-kill + resume.
+"""Staged engine: one inline executor.
 
-The engine's contract (docs/ARCHITECTURE.md): for a fixed seed the
-committed iteration stream is bit-for-bit identical under every executor
-and speculation width — parallelism changes wall-clock time and nothing
-else.  These tests pin that with full per-iteration projections, not
-just final tallies.
+Every iteration executes the scheduler's pending candidate exactly once,
+through ``TestRunner.run_with_retries``, and commits it before the next
+one is derived.  Checkpoints written by older versions, whose config
+snapshot still carries the retired process-pool keys, resume onto the
+same trajectory.
 """
 
 import pytest
 
 from repro.core import Compi, CompiConfig
-from repro.core.persist import CampaignLog
-from repro.engine import InlineExecutor, ParallelExecutor, make_executor
+from repro.core.persist import CampaignLog, load_checkpoint, write_checkpoint
+from repro.core.runner import TestRunner
 from repro.instrument import instrument_program
 
-
-@pytest.fixture(scope="module")
-def demo_program():
-    prog = instrument_program(["repro.targets.demo"])
-    yield prog
-    prog.unload()
+#: config keys of the retired speculative process-pool executor
+RETIRED_POOL_KEYS = {"workers": 2, "speculation_width": 4,
+                     "speculation_depth": 4, "breaker_rebuilds": 3,
+                     "heartbeat_stale": 15.0, "wedge_grace": 60.0}
 
 
 @pytest.fixture(scope="module")
@@ -41,135 +38,42 @@ def _proj(result):
              r.error_kind, r.negated_site) for r in result.iterations]
 
 
-def _keys(result):
-    return {b.dedup_key for b in result.bugs}
+def test_every_iteration_runs_once_through_run_with_retries(seq_program,
+                                                             monkeypatch):
+    executed = []
+    run_with_retries = TestRunner.run_with_retries
+
+    def counting(self, testcase, timeout=None):
+        executed.append(testcase)
+        return run_with_retries(self, testcase, timeout=timeout)
+
+    monkeypatch.setattr(TestRunner, "run_with_retries", counting)
+    with Compi(seq_program, _cfg()) as compi:
+        result = compi.run(iterations=10)
+    assert len(result.iterations) == 10
+    assert len(executed) == 10
+    assert [r.nprocs for r in result.iterations] == \
+        [tc.setup.nprocs for tc in executed]
 
 
-# ----------------------------------------------------------------------
-# executor selection
-# ----------------------------------------------------------------------
-def test_make_executor_selects_by_workers(demo_program):
-    from repro.core.runner import TestRunner
+def test_checkpoint_with_retired_pool_keys_resumes_exactly(seq_program,
+                                                           tmp_path):
+    with Compi(seq_program, _cfg()) as reference:
+        ref = reference.run(iterations=12)
 
-    serial_cfg = _cfg()
-    runner = TestRunner(demo_program, serial_cfg)
-    assert isinstance(make_executor(demo_program, serial_cfg, runner),
-                      InlineExecutor)
+    log_path = tmp_path / "part.jsonl"
+    with Compi(seq_program, _cfg()) as first, CampaignLog(log_path) as log:
+        first.run(iterations=5, log=log)
+    state = load_checkpoint(log_path)
+    state["config"].update(RETIRED_POOL_KEYS)
+    write_checkpoint(log_path, state)
 
-    par_cfg = _cfg(workers=2)
-    ex = make_executor(demo_program, par_cfg,
-                       TestRunner(demo_program, par_cfg))
-    try:
-        assert isinstance(ex, ParallelExecutor)
-    finally:
-        ex.close()
-
-
-def test_faults_force_the_inline_executor(demo_program):
-    """Fault streams are run-number-indexed: squashed speculation would
-    shift them, so workers>1 + faults must fall back to inline."""
-    cfg = _cfg(workers=4, faults=("jitter",), fault_seed=5)
-    compi = Compi(demo_program, cfg)
-    try:
-        assert isinstance(compi.executor, InlineExecutor)
-        assert not compi.executor.parallel
-        assert compi.engine.width == 1
-    finally:
-        compi.close()
-
-
-def test_speculation_width_defaults_to_workers():
-    assert _cfg(workers=3).effective_speculation_width() == 3
-    assert _cfg(workers=3, speculation_width=1) \
-        .effective_speculation_width() == 1
-    assert _cfg().effective_speculation_width() == 1
-
-
-# ----------------------------------------------------------------------
-# parallel == serial, bit for bit
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("target", ["demo_program", "seq_program"])
-def test_parallel_campaign_matches_serial(target, request):
-    program = request.getfixturevalue(target)
-
-    serial = Compi(program, _cfg())
-    rs = serial.run(iterations=10)
-    serial.close()
-
-    par = Compi(program, _cfg(workers=2))
-    try:
-        assert par.executor.parallel
-        rp = par.run(iterations=10)
-    finally:
-        par.close()
-
-    assert _proj(rs) == _proj(rp)
-    assert rs.coverage.branches == rp.coverage.branches
-    assert _keys(rs) == _keys(rp)
-    assert rs.divergences == rp.divergences
-
-
-def test_wide_speculation_still_matches_serial(seq_program):
-    """Width beyond the worker count exercises deeper squashing."""
-    serial = Compi(seq_program, _cfg())
-    rs = serial.run(iterations=8)
-    serial.close()
-
-    par = Compi(seq_program, _cfg(workers=2, speculation_width=4))
-    try:
-        rp = par.run(iterations=8)
-    finally:
-        par.close()
-
-    assert _proj(rs) == _proj(rp)
-    assert rs.coverage.branches == rp.coverage.branches
-    assert _keys(rs) == _keys(rp)
-
-
-# ----------------------------------------------------------------------
-# kill mid-batch, resume (satellite: checkpoint under ParallelExecutor)
-# ----------------------------------------------------------------------
-def test_kill_mid_batch_parallel_resume_matches_serial(seq_program,
-                                                       tmp_path):
-    """Checkpoint a parallel campaign partway (speculative work still in
-    flight is squashed, i.e. lost, exactly as a kill would lose it),
-    resume in parallel, and land on the uninterrupted serial reference."""
-    reference = Compi(seq_program, _cfg())
-    ref = reference.run(iterations=12)
-    reference.close()
-
-    part_log = tmp_path / "part.jsonl"
-    first = Compi(seq_program, _cfg(workers=2))
-    try:
-        with CampaignLog(part_log) as log:
-            first.run(iterations=5, log=log)
-    finally:
-        first.close()
-
-    resumed_c = Compi.resume(seq_program, part_log)
+    resumed_c = Compi.resume(seq_program, log_path)
     assert resumed_c._iteration == 5
-    assert resumed_c.executor.parallel  # checkpointed config had workers=2
-    try:
-        with CampaignLog(part_log, mode="a") as log:
-            resumed = resumed_c.run(iterations=7, log=log)
-    finally:
-        resumed_c.close()
+    with resumed_c, CampaignLog(log_path, mode="a") as log:
+        resumed = resumed_c.run(iterations=7, log=log)
 
     assert _proj(resumed) == _proj(ref)
     assert resumed.coverage.branches == ref.coverage.branches
-    assert _keys(resumed) == _keys(ref)
-
-
-# ----------------------------------------------------------------------
-# engine telemetry
-# ----------------------------------------------------------------------
-def test_speculation_telemetry_accounts_for_every_candidate(seq_program):
-    compi = Compi(seq_program, _cfg(workers=2))
-    try:
-        compi.run(iterations=10)
-        eng = compi.engine
-        assert eng.speculation_hits + eng.speculation_squashes >= 0
-        # every committed iteration was the authoritative serial one
-        assert eng.iteration == 10
-    finally:
-        compi.close()
+    assert {b.dedup_key for b in resumed.bugs} == \
+        {b.dedup_key for b in ref.bugs}

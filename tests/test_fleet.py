@@ -70,7 +70,9 @@ def test_spec_rejects_unknown_target_strategy_and_config_key():
         FleetSpec.from_dict(spec_dict(failure={"max_failures": 0}))
 
 
-@pytest.mark.parametrize("key", ["probe_batching", "persistent_solver"])
+@pytest.mark.parametrize("key", ["probe_batching", "persistent_solver",
+                                 "workers", "speculation_width",
+                                 "speculation_depth"])
 def test_spec_rejects_retired_config_keys(key):
     with pytest.raises(FleetSpecError, match="unknown shard.config"):
         FleetSpec.from_dict(spec_dict(shard={"config": {key: False}}))

@@ -2,8 +2,8 @@
 
 Each golden entry is asserted in full by exactly one test: the race and
 SUSY entries by tests/test_schedules.py and tests/test_baton.py, demo
-seed 1 under ``--workers 2`` and demo seed 2 across a resume by
-tests/test_hotpath_determinism.py, and the rest here.
+seed 2 across a resume by tests/test_hotpath_determinism.py, and the
+rest here.
 """
 
 import pytest
@@ -27,8 +27,8 @@ def programs():
         program.unload()
 
 
-@pytest.mark.parametrize("target,seed", [("demo", 0), ("hpl", 0),
-                                         ("hpl", 1), ("hpl", 2)])
+@pytest.mark.parametrize("target,seed", [("demo", 0), ("demo", 1),
+                                         ("hpl", 0), ("hpl", 1), ("hpl", 2)])
 def test_serial_campaign_matches_golden(programs, target, seed):
     _, digest = run_golden(programs(target), target, seed)
     assert digest == GOLDEN[(target, seed)]

@@ -1,6 +1,6 @@
 """Hot-path optimisations change *time*, never *results*.
 
-Three optimisations share one determinism contract
+Two optimisations share one determinism contract
 (docs/PERFORMANCE.md), pinned by the golden campaign digests of
 :mod:`tests.golden` rather than by a second implementation:
 
@@ -10,9 +10,6 @@ Three optimisations share one determinism contract
 * **persistent incremental solving** — one stem frame + prefix ladder
   alive across iterations; a resumed campaign rebuilds it and still
   commits the golden stream with the golden solver counters.
-* **depth-k speculation tree** (``speculation_depth``) — mid-batch
-  refills keep the pool saturated.  Contract: ``--workers N`` still
-  equals serial; depth 1 reproduces single-generation behaviour.
 """
 
 import pytest
@@ -26,7 +23,7 @@ from repro.instrument import instrument_program
 from repro.mpi import run_job
 
 from .golden import (GOLDEN, ITERATIONS, campaign_digest, golden_config,
-                     run_golden, tap_runs)
+                     tap_runs)
 
 
 @pytest.fixture(scope="module")
@@ -36,28 +33,10 @@ def demo_program():
     prog.unload()
 
 
-@pytest.fixture(scope="module")
-def seq_program():
-    prog = instrument_program(["repro.targets.seq_demo"])
-    yield prog
-    prog.unload()
-
-
 def _cfg(**kw):
     base = dict(seed=7, init_nprocs=3, nprocs_cap=4, test_timeout=10.0)
     base.update(kw)
     return CompiConfig(**base)
-
-
-def _proj(result):
-    return [(r.iteration, r.origin, r.nprocs, r.path_len, r.event_count,
-             r.covered_after, r.error_kind, r.negated_site,
-             r.focus_log_size, r.nonfocus_log_avg)
-            for r in result.iterations]
-
-
-def _keys(result):
-    return {b.dedup_key for b in result.bugs}
 
 
 def test_sink_without_arrays_still_works(demo_program):
@@ -104,47 +83,3 @@ def test_persistent_session_across_resume(demo_program, tmp_path):
         resumed_c.close()
 
     assert campaign_digest(resumed, runs) == GOLDEN[("demo", 2)]
-
-
-# ----------------------------------------------------------------------
-# depth-k speculation tree ≡ serial
-# ----------------------------------------------------------------------
-def test_depth_k_speculation_matches_serial(seq_program):
-    serial = Compi(seq_program, _cfg())
-    try:
-        rs = serial.run(iterations=12)
-    finally:
-        serial.close()
-
-    par = Compi(seq_program, _cfg(workers=2, speculation_width=4,
-                                  speculation_depth=4))
-    try:
-        rp = par.run(iterations=12)
-        refills = par.engine.speculation_refills
-    finally:
-        par.close()
-
-    assert _proj(rs) == _proj(rp)
-    assert rs.coverage.branches == rp.coverage.branches
-    assert _keys(rs) == _keys(rp)
-    assert refills >= 0  # telemetry wired (value is target-dependent)
-
-
-def test_depth_one_reproduces_single_generation(seq_program):
-    """``speculation_depth=1`` must never refill mid-batch."""
-    par = Compi(seq_program, _cfg(workers=2, speculation_width=4,
-                                  speculation_depth=1))
-    try:
-        par.run(iterations=10)
-        assert par.engine.speculation_refills == 0
-    finally:
-        par.close()
-
-
-def test_all_three_optimisations_compose(demo_program):
-    """The full hot-path stack — batched probes, the persistent solve
-    session, ``--workers 2`` with a depth-4 speculation tree — commits
-    the golden campaign."""
-    _, digest = run_golden(demo_program, "demo", 1, workers=2,
-                           speculation_width=3, speculation_depth=4)
-    assert digest == GOLDEN[("demo", 1)]

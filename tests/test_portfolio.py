@@ -2,8 +2,9 @@
 
 The portfolio's crown-jewel claim is that it keeps the staged engine's
 determinism contract while multiplexing several strategy arms over one
-shared :class:`ExecutionTree` frontier — fixed seed ⇒ ``--workers N`` ≡
-serial, cache-on ≡ cache-off, ``--resume`` ≡ uninterrupted.  Each of
+shared :class:`ExecutionTree` frontier — cache-on ≡ cache-off and
+``--resume`` ≡ uninterrupted; the golden SUSY digests
+(tests/test_baton.py) pin the 4-arm trajectory itself.  Each of
 those is asserted here with full per-iteration projections (including
 the committed arm attribution), not just final tallies.
 """
@@ -319,16 +320,6 @@ def test_single_strategy_campaign_has_no_portfolio_telemetry(seq_program):
 # ----------------------------------------------------------------------
 # portfolio campaigns: the determinism contract
 # ----------------------------------------------------------------------
-def test_portfolio_parallel_equals_serial(demo_program):
-    with Compi(demo_program, _cfg()) as c:
-        serial = c.run(iterations=30)
-    with Compi(demo_program, _cfg(workers=2)) as c:
-        parallel = c.run(iterations=30)
-    assert _proj(parallel) == _proj(serial)
-    assert parallel.coverage.branches == serial.coverage.branches
-    assert _pf_det(parallel.portfolio) == _pf_det(serial.portfolio)
-
-
 def test_portfolio_cache_on_equals_cache_off(demo_program):
     with Compi(demo_program, _cfg()) as c:
         cached = c.run(iterations=30)

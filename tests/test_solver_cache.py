@@ -1,7 +1,7 @@
 """Tests for the solver acceleration subsystem (repro.solvercache):
-canonicalization, the two-tier counterexample cache, the speculative
-fork view, telemetry, and the campaign-level determinism contract
-(cache-on ≡ cache-off for a fixed seed)."""
+canonicalization, the two-tier counterexample cache, telemetry, and the
+campaign-level determinism contract (cache-on ≡ cache-off for a fixed
+seed)."""
 
 import json
 
@@ -166,36 +166,6 @@ def test_disk_tier_rejects_mid_file_corruption(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# the fork write-buffer rule
-# ----------------------------------------------------------------------
-def test_fork_writes_stay_private():
-    base = CounterexampleCache(capacity=16)
-    base.put("shared", CacheEntry(sat=False))
-    view = base.fork()
-    view.put("speculative", CacheEntry(sat=True, model={0: 1}))
-    assert view.get("speculative") is not None     # visible to the fork
-    assert view.get("shared") is not None          # read-through
-    assert base.get("speculative") is None         # invisible to base
-    assert len(base) == 1
-
-
-def test_fork_reads_do_not_touch_base_recency():
-    base = CounterexampleCache(capacity=2)
-    base.put("a", CacheEntry(sat=False))
-    base.put("b", CacheEntry(sat=False))
-    base.fork().get("a")              # speculative read: a stays oldest
-    base.put("c", CacheEntry(sat=False))
-    assert base.get("a") is None and base.get("b") is not None
-
-
-def test_fork_writes_never_reach_disk(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    base = CounterexampleCache(capacity=16, path=path)
-    base.fork().put("spec", CacheEntry(sat=False))
-    assert not path.exists() or path.read_text() == ""
-
-
-# ----------------------------------------------------------------------
 # solve_incremental + cache integration
 # ----------------------------------------------------------------------
 def _query():
@@ -295,21 +265,6 @@ def test_session_threads_cache_and_stats():
     assert a.assignment == b.assignment
     assert session.stats.cache_hits == 1
     assert session.stats.solves == 2
-
-
-def test_session_fork_isolates_cache_and_stats():
-    session = SolveSession(cache=CounterexampleCache())
-    cons, neg, dom, prev = _query()
-    fork = session.fork()
-    fork.solve(cons, neg, dom, prev)
-    # speculation left no trace in the committed session
-    assert len(session.cache) == 0
-    assert session.stats.solves == 0
-    assert fork.stats.solves == 1
-    # the committed stream still has to solve (and store) it itself
-    res = session.solve(cons, neg, dom, prev)
-    assert res is not None and not res.cached
-    assert len(session.cache) == 1
 
 
 def test_session_without_cache_still_solves():

@@ -1,15 +1,13 @@
-"""Supervised execution: pool death recovery, sandboxing, quarantine,
-crash triage and input minimization.
+"""Supervised execution: sandboxing, quarantine, crash triage and input
+minimization.
 
-The anchor test is the PR's acceptance criterion: a campaign whose
-worker is hard-killed mid-iteration (``os._exit`` from the target)
-finishes, with a final report bit-for-bit identical between ``--workers
-2`` and the serial sandboxed run, the killing input quarantined, and a
-minimized reproducer artifact emitted next to the campaign log.
+The anchor test: a sandboxed campaign whose target hard-kills the
+executing process mid-iteration (``os._exit``) finishes, with the kill
+confirmed, the killing input quarantined, and a minimized reproducer
+artifact emitted next to the campaign log.
 """
 
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -20,11 +18,11 @@ from repro.core.persist import CampaignLog, checkpoint_path, load_campaign
 from repro.core.runner import ErrorInfo, TestRunner
 from repro.core.testcase import TestCase
 from repro.instrument import instrument_program
-from repro.supervise import (CampaignSupervisor, HeartbeatMonitor,
-                             QuarantineEntry, ResourceLimits, crash_signature,
-                             ddmin, load_artifacts, minimize_inputs,
-                             repro_dir, run_sandboxed, signature_filename)
-from repro.supervise.pool import canonical_input_key
+from repro.supervise import (CampaignSupervisor, QuarantineEntry,
+                             ResourceLimits, canonical_input_key,
+                             crash_signature, ddmin, load_artifacts,
+                             minimize_inputs, repro_dir, run_sandboxed,
+                             signature_filename)
 from repro.supervise.sandbox import SandboxDeath
 
 
@@ -55,19 +53,6 @@ def _cfg(**kw):
     base = dict(seed=7, init_nprocs=2, nprocs_cap=4, test_timeout=10.0)
     base.update(kw)
     return CompiConfig(**base)
-
-
-def _proj(result):
-    """The deterministic projection of a campaign (no wall-clock noise)."""
-    return dict(
-        branches=sorted(result.coverage.branches),
-        bugs=[(b.kind, b.location, b.signature,
-               sorted(b.testcase.inputs.items()))
-              for b in result.bugs],
-        iterations=[(r.iteration, r.origin, r.nprocs, r.path_len,
-                     r.covered_after, r.error_kind, r.negated_site)
-                    for r in result.iterations],
-    )
 
 
 def _setup(nprocs=2, focus=0):
@@ -264,18 +249,6 @@ def test_quarantine_outcome_replays_recorded_error(demo_program):
     assert sup.stats.quarantine_skips == 1
 
 
-def test_breaker_opens_after_threshold(demo_program):
-    sup = _mk_supervisor(demo_program, breaker_rebuilds=3)
-    assert not sup.breaker_open
-    sup.note_rebuild()
-    sup.note_rebuild(wedged=True)
-    assert not sup.breaker_open
-    sup.note_rebuild()
-    assert sup.breaker_open
-    assert sup.stats.pool_rebuilds == 3
-    assert sup.stats.wedge_recoveries == 1
-
-
 def test_supervisor_state_roundtrip(demo_program):
     sup = _mk_supervisor(demo_program)
     tc = TestCase(inputs={"x": 1, "y": 2}, setup=_setup())
@@ -285,8 +258,6 @@ def test_supervisor_state_roundtrip(demo_program):
     fresh.load_state(state)
     assert fresh.is_quarantined(tc)
     assert fresh.kill_counts == sup.kill_counts
-    # rebuild telemetry is per-process, not campaign state
-    assert fresh.stats.pool_rebuilds == 0
 
 
 def test_quarantine_entry_roundtrip():
@@ -296,28 +267,8 @@ def test_quarantine_entry_roundtrip():
     assert QuarantineEntry.from_dict(entry.as_dict()) == entry
 
 
-def test_heartbeat_monitor_staleness(tmp_path):
-    mon = HeartbeatMonitor(stale_after=5.0)
-    try:
-        assert mon.newest() is None
-        assert not mon.stale()  # no worker checked in yet: not wedged
-        path = mon.path_for(1234)
-        HeartbeatMonitor.touch(path)
-        newest = mon.newest()
-        assert newest is not None
-        assert not mon.stale(now=newest + 4.9)
-        assert mon.stale(now=newest + 5.1)
-        # a second, fresher worker keeps the pool alive
-        HeartbeatMonitor.touch(mon.path_for(5678))
-        os.utime(mon.path_for(5678), (newest + 10, newest + 10))
-        assert not mon.stale(now=newest + 5.1)
-    finally:
-        mon.cleanup()
-    assert not os.path.isdir(mon.dir)
-
-
 # ----------------------------------------------------------------------
-# the acceptance test: hard-killed worker, parallel ≡ serial
+# the acceptance test: a hard-killed sandbox child
 # ----------------------------------------------------------------------
 def _killer_campaign(tmp_path, tag, iterations=12, resume=False, **cfg_kw):
     base = dict(sandbox=True, minimize_probes=16)
@@ -342,38 +293,30 @@ def _killer_campaign(tmp_path, tag, iterations=12, resume=False, **cfg_kw):
 
 def test_killed_worker_campaign_matches_serial(tmp_path):
     """A target that os._exit()s mid-iteration must not kill the
-    campaign, and --workers 2 must commit the exact serial stream."""
-    serial, p1, c1 = _killer_campaign(tmp_path, "serial", workers=1)
-    parallel, p2, c2 = _killer_campaign(tmp_path, "par", workers=2)
-
-    assert _proj(serial) == _proj(parallel)
+    sandboxed campaign."""
+    serial, path, _ = _killer_campaign(tmp_path, "serial")
     assert len(serial.iterations) == 12  # the campaign finished
 
-    # the kill was confirmed, classified and quarantined in both modes
+    # the kill was confirmed, classified and quarantined
     kinds = {b.kind for b in serial.bugs}
     assert KIND_WORKER in kinds
-    for result in (serial, parallel):
-        sup = result.supervision
-        assert sup["worker_kills"] >= 1
-        assert sup["quarantined"] >= 1
-        assert sup["unique_signatures"] >= 1
-    # only the parallel run pays pool rebuilds; the committed stream
-    # does not depend on them
-    assert serial.supervision["pool_rebuilds"] == 0
+    sup = serial.supervision
+    assert sup["worker_kills"] >= 1
+    assert sup["quarantined"] >= 1
+    assert sup["unique_signatures"] >= 1
+    assert sup["sandboxed_runs"] >= 1
 
-    # quarantine records and the reproducer artifact landed in both logs
-    for path in (p1, p2):
-        loaded = load_campaign(path)
-        assert loaded["quarantine"], f"no quarantine record in {path}"
-        assert loaded["supervision"]["worker_kills"] >= 1
-        arts = load_artifacts(repro_dir(path))
-        assert arts, f"no reproducer artifact under {repro_dir(path)}"
-        assert arts[0]["kind"] == KIND_WORKER
-        # ddmin reset the irrelevant y to its default
-        assert arts[0]["minimized"]
-        assert arts[0]["minimized_inputs"]["y"] == 5
-        assert arts[0]["minimized_inputs"]["x"] <= 0
-    assert load_campaign(p1)["quarantine"] == load_campaign(p2)["quarantine"]
+    # the quarantine record and the reproducer artifact landed in the log
+    loaded = load_campaign(path)
+    assert loaded["quarantine"], f"no quarantine record in {path}"
+    assert loaded["supervision"]["worker_kills"] >= 1
+    arts = load_artifacts(repro_dir(path))
+    assert arts, f"no reproducer artifact under {repro_dir(path)}"
+    assert arts[0]["kind"] == KIND_WORKER
+    # ddmin reset the irrelevant y to its default
+    assert arts[0]["minimized"]
+    assert arts[0]["minimized_inputs"]["y"] == 5
+    assert arts[0]["minimized_inputs"]["x"] <= 0
 
 
 def test_quarantine_honored_across_checkpoint_resume(tmp_path):
@@ -407,16 +350,6 @@ def test_quarantine_honored_across_jsonl_resume(tmp_path):
             compi.close()
     finally:
         prog.unload()
-
-
-def test_breaker_degrades_to_sandboxed_inline(tmp_path):
-    """With a 1-rebuild breaker the parallel executor must stop
-    rebuilding after the first kill and still finish the campaign."""
-    result, _, compi = _killer_campaign(tmp_path, "breaker", workers=2,
-                                        breaker_rebuilds=1)
-    assert result.supervision["breaker_open"]
-    assert result.supervision["pool_rebuilds"] == 1
-    assert len(result.iterations) == 12
 
 
 # ----------------------------------------------------------------------
@@ -465,14 +398,14 @@ def test_triage_cli_replay_requires_target(tmp_path):
 
 
 def test_run_cli_supervision_flags(tmp_path, capsys):
-    """End-to-end: `run --target killer --sandbox --workers 2` survives
-    the kill and prints supervision telemetry."""
+    """End-to-end: `run --target killer --sandbox` survives the kill and
+    prints supervision telemetry."""
     from repro.__main__ import main
 
     log = tmp_path / "cli-camp.jsonl"
     rc = main(["run", "--target", "killer", "--iterations", "8",
                "--seed", "7", "--nprocs", "2", "--nprocs-cap", "4",
-               "--sandbox", "--workers", "2", "--save-log", str(log)])
+               "--sandbox", "--save-log", str(log)])
     out = capsys.readouterr().out
     assert rc == 1, out  # bugs found → nonzero, but it *finished*
     assert "supervision" in out
@@ -499,37 +432,3 @@ def test_bug_signature_survives_log_roundtrip(tmp_path):
     by_iter = {b.iteration: b for b in loaded["bugs"]}
     for bug in result.bugs:
         assert by_iter[bug.iteration].signature == bug.signature
-
-
-# ----------------------------------------------------------------------
-# abandoned-pool hygiene
-# ----------------------------------------------------------------------
-def test_teardown_kills_abandoned_pool_workers(demo_program):
-    """Tearing down a wedged pool must kill its worker processes.
-
-    A wedged worker never drains the shutdown sentinel, so the abandoned
-    pool's manager thread blocks in ``process.join()`` — and the
-    interpreter joins that manager thread at exit, wedging the whole
-    process long after the campaign recovered.
-    """
-    import time as _time
-
-    from repro.engine import ParallelExecutor
-
-    cfg = _cfg(workers=2)
-    runner = TestRunner(demo_program, cfg)
-    sup = CampaignSupervisor(cfg, runner)
-    ex = ParallelExecutor(demo_program, cfg, runner, workers=2,
-                          supervisor=sup)
-    pool = ex._ensure_pool()
-    # park one worker on a long job: under the old shutdown(wait=False)
-    # teardown it would outlive the executor by minutes
-    pool.submit(_time.sleep, 300)
-    procs = list(pool._processes.values())
-    assert procs
-    ex._teardown(wedged=True)
-    deadline = _time.monotonic() + 15.0
-    while any(p.is_alive() for p in procs):
-        assert _time.monotonic() < deadline, "abandoned workers survived"
-        _time.sleep(0.1)
-    assert sup.stats.wedge_recoveries == 1

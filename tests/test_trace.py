@@ -133,6 +133,25 @@ def test_light_sink_log_is_small_and_coverage_shaped():
     assert b"pc " not in log and b"ev " not in log
 
 
+@pytest.mark.parametrize("sink_cls", [LightSink, HeavySink])
+@given(branch_slots=st.sets(st.integers(0, 99)),
+       func_slots=st.sets(st.integers(0, 19)))
+def test_flush_folds_hit_slots_exactly_and_idempotently(sink_cls,
+                                                         branch_slots,
+                                                         func_slots):
+    s = sink_cls()
+    s.preallocate(n_sites=50, n_functions=20)
+    for idx in branch_slots:
+        s.branch_hits[idx] = 1
+    for fid in func_slots:
+        s.func_hits[fid] = 1
+    s.flush()
+    s.flush()
+    assert s.coverage.branches == {(i >> 1, bool(i & 1))
+                                   for i in branch_slots}
+    assert s.coverage.functions == func_slots
+
+
 # ----------------------------------------------------------------------
 # HeavySink
 # ----------------------------------------------------------------------
