@@ -139,7 +139,7 @@ class CompiConfig:
     #: delta-debug each *new* crash signature down to a minimal
     #: reproducer artifact under ``<log>.repro/`` (needs a campaign log)
     minimize_crashes: bool = True
-    #: sandboxed re-runs the ddmin minimizer may spend per signature
+    #: re-runs (probes) the ddmin minimizer may spend per signature
     minimize_probes: int = 48
 
     # -- robustness / resilience ------------------------------------------

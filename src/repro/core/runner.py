@@ -19,7 +19,7 @@ import re
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from ..concolic.context import sink_scope
 from ..concolic.coverage import CoverageMap, merge_all
@@ -242,13 +242,14 @@ class TestRunner:
         derived = cfg.timeout_multiplier * self._ewma
         return min(cfg.test_timeout, max(cfg.timeout_floor, derived))
 
-    def note_external_run(self, wall_time: float, timed_out: bool) -> None:
-        """Fold a run executed elsewhere (a sandbox child) into the EWMA.
+    def note_run(self, wall_time: float, timed_out: bool) -> None:
+        """Count one campaign run and fold its wall time into the EWMA.
 
-        A forked sandbox child's runner state dies with the child; the
-        supervisor feeds each outcome back in commit order so adaptive
-        timeouts and the run counter stay meaningful (and checkpointable)
-        for sandboxed campaigns too.
+        :meth:`run` calls this itself.  The sandbox executes campaign
+        runs through :meth:`probe`, which does not; the supervisor feeds
+        each outcome back here in commit order so adaptive timeouts and
+        the run counter stay meaningful (and checkpointable) for
+        sandboxed campaigns too.
         """
         self._runs += 1
         if not timed_out:
@@ -284,10 +285,54 @@ class TestRunner:
 
     def run(self, testcase: TestCase,
             timeout: Optional[float] = None) -> RunRecord:
-        """Run one test.  ``timeout`` overrides the adaptive per-test
-        timeout."""
+        """Run one campaign test: counted, and folded into the EWMA.
+        ``timeout`` overrides the adaptive per-test timeout."""
+        return self._guarded(testcase, timeout, account=True)
+
+    def probe(self, testcase: TestCase, timeout: Optional[float] = None
+              ) -> tuple[RunRecord, int]:
+        """Execute one test outside the campaign's accounting.
+
+        Same retry policy as :meth:`run_with_retries` and the same fault
+        sub-plan the campaign's next run would draw
+        (``fault_plan.derive(runs so far)``), but the run counter, the
+        EWMA and so :meth:`current_timeout` are left untouched.  Crash
+        triage probes inputs through here, and the sandbox child runs
+        every campaign test through here (the parent accounts for it
+        with :meth:`note_run`).
+        """
+        return self._retrying(
+            lambda: self._guarded(testcase, timeout, account=False))
+
+    def run_with_retries(self, testcase: TestCase,
+                         timeout: Optional[float] = None
+                         ) -> tuple[RunRecord, int]:
+        """Run one test, retrying transient harness errors with backoff.
+
+        Returns ``(record, retries_it_took)``.  Every unsandboxed
+        campaign execution goes through here.
+        """
+        return self._retrying(lambda: self.run(testcase, timeout=timeout))
+
+    def _retrying(self, attempt_once: Callable[[], RunRecord]
+                  ) -> tuple[RunRecord, int]:
+        """``(attempt_once(), retries)``, retrying transient harness
+        errors with exponential backoff."""
+        cfg = self.config
+        attempt = 0
+        while True:
+            try:
+                return attempt_once(), attempt
+            except TransientCampaignError:
+                if attempt >= cfg.retry_attempts:
+                    raise
+                time.sleep(cfg.retry_backoff * (2 ** attempt))
+                attempt += 1
+
+    def _guarded(self, testcase: TestCase, timeout: Optional[float],
+                 account: bool) -> RunRecord:
         try:
-            return self._run(testcase, timeout=timeout)
+            return self._run(testcase, timeout, account)
         except (MpiError, InjectedFault):
             raise  # substrate-level errors carry their own meaning
         except Exception as exc:
@@ -297,28 +342,8 @@ class TestRunner:
             raise TransientCampaignError(
                 f"internal error while running test: {exc!r}") from exc
 
-    def run_with_retries(self, testcase: TestCase,
-                         timeout: Optional[float] = None
-                         ) -> tuple[RunRecord, int]:
-        """Run one test, retrying transient harness errors with backoff.
-
-        Returns ``(record, retries_it_took)``.  Every campaign execution,
-        sandboxed or not, goes through here, so they share one retry
-        policy.
-        """
-        cfg = self.config
-        attempt = 0
-        while True:
-            try:
-                return self.run(testcase, timeout=timeout), attempt
-            except TransientCampaignError:
-                if attempt >= cfg.retry_attempts:
-                    raise
-                time.sleep(cfg.retry_backoff * (2 ** attempt))
-                attempt += 1
-
-    def _run(self, testcase: TestCase,
-             timeout: Optional[float] = None) -> RunRecord:
+    def _run(self, testcase: TestCase, timeout: Optional[float],
+             account: bool) -> RunRecord:
         entry = self.program.entry
         inputs = dict(testcase.inputs)
 
@@ -350,11 +375,8 @@ class TestRunner:
         wall = time.monotonic() - t0
         for sink in sinks:
             sink.flush()   # fold probe hit arrays into coverage
-        self._runs += 1
-        if not job.timed_out:
-            alpha = self.config.timeout_ewma_alpha
-            self._ewma = (wall if self._ewma is None
-                          else alpha * wall + (1 - alpha) * self._ewma)
+        if account:
+            self.note_run(wall, job.timed_out)
 
         focus = testcase.setup.focus
         focus_sink: HeavySink = sinks[focus]

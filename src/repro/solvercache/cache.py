@@ -67,11 +67,10 @@ class CounterexampleCache:
             self._load_disk_tier()
 
     # ------------------------------------------------------------------
-    def get(self, key: str, touch: bool = True) -> Optional[CacheEntry]:
-        """Look up a verdict; ``touch=False`` skips the LRU recency
-        update (a read that must not reorder evictions)."""
+    def get(self, key: str) -> Optional[CacheEntry]:
+        """Look up a verdict; a hit refreshes its LRU recency."""
         entry = self._entries.get(key)
-        if entry is not None and touch:
+        if entry is not None:
             self._entries.move_to_end(key)
         return entry
 

@@ -8,9 +8,11 @@ single remaining input stops the crash from reproducing.  Inputs outside
 the subset are reset to their spec defaults, so the reproducer reads as
 "the defaults, plus these few decisive values".
 
-The probe predicate is supplied by the caller (triage probes via the
-forked sandbox, side-effect-free: no EWMA noting, no kill accounting),
-and every probe counts against a hard budget — minimization is a triage
+The probe predicate is supplied by the caller.  Triage probes execute
+through ``TestRunner.probe``, in the campaign process or in a forked
+sandbox child (see :mod:`repro.supervise.triage`); either way they
+leave the runner's run counter, timeout EWMA and kill accounting alone.
+Every probe counts against a hard budget — minimization is a triage
 nicety and must never stall the campaign.
 """
 

@@ -190,7 +190,7 @@ def _child_main(write_fd: int, runner: "TestRunner", testcase: "TestCase",
         from ..engine.executor import outcome_from_record
         apply_rlimits(limits)
         try:
-            rec, retries = runner.run_with_retries(testcase, timeout=timeout)
+            rec, retries = runner.probe(testcase, timeout=timeout)
             out = reclassify_resource(outcome_from_record(rec, retries),
                                       limits)
             payload = pickle.dumps(("ok", out),
@@ -215,10 +215,12 @@ def run_sandboxed(runner: "TestRunner", testcase: "TestCase",
     when the child died hard, and re-raises any harness-level exception
     the child shipped (parity with the unsandboxed path).  Without
     ``os.fork`` the run degrades to an unprotected in-process execution.
+    Either way the run goes through :meth:`TestRunner.probe`, so the
+    runner's run counter and EWMA are left to the caller.
     """
-    if not sandbox_supported():  # pragma: no cover - non-POSIX fallback
+    if not sandbox_supported():
         from ..engine.executor import outcome_from_record
-        rec, retries = runner.run_with_retries(testcase, timeout=timeout)
+        rec, retries = runner.probe(testcase, timeout=timeout)
         return outcome_from_record(rec, retries), None
 
     read_fd, write_fd = os.pipe()
@@ -403,9 +405,9 @@ class CampaignSupervisor:
 
         Quarantined inputs are skipped; everything else runs in the
         forked sandbox.  A hard death is charged to the input and
-        surfaces as a synthesized outcome.  The child's runner state
-        dies with it, so the outcome is folded into the parent runner's
-        EWMA and run counter here.
+        surfaces as a synthesized outcome.  The sandboxed run leaves the
+        runner's accounting alone, so the outcome is folded into the
+        runner's EWMA and run counter here, exactly once.
         """
         if self.is_quarantined(testcase):
             outcome = self.quarantine_outcome(testcase)
@@ -419,7 +421,7 @@ class CampaignSupervisor:
                 if death.kind == KIND_WORKER:
                     self.record_kill(testcase, death)
                 outcome = self.death_outcome(testcase, death)
-        self.runner.note_external_run(outcome.wall_time, outcome.timed_out)
+        self.runner.note_run(outcome.wall_time, outcome.timed_out)
         return outcome
 
     # ------------------------------------------------------------------

@@ -9,11 +9,16 @@ minimal input vector, then written as a self-contained JSON reproducer
 under ``<log>.repro/``.  ``repro triage list|show|replay`` consumes the
 artifacts.
 
-Minimization probes run in the forked sandbox, which makes them
-side-effect-free for free: the child mutates *its* copy of the runner's
-EWMA state and exits, the campaign's runner never observes the probes.
-Triage therefore cannot perturb the committed iteration stream, and the
-serial/parallel determinism contract survives.
+Minimization probes leave the campaign's runner alone: they execute
+through :meth:`~repro.core.runner.TestRunner.probe`, which neither
+counts the run nor folds it into the timeout EWMA, draws the fault
+sub-plan the campaign's next run would draw, and is pinned to the
+configured ``test_timeout``.  Triage therefore cannot perturb the
+committed iteration stream.  A probe runs in the campaign process
+unless the campaign is sandboxed or the signature is one whose run may
+not return cleanly (``hang``, ``worker-killed``, ``oom``, ``cpu-cap``);
+those probes fork a sandbox child (:func:`run_sandboxed`) so a probe
+that spins or dies takes only the child with it.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
 
 from ..core.config import CompiConfig
-from ..core.runner import ErrorInfo, traceback_frames
+from ..core.runner import (KIND_CPU, KIND_HANG, KIND_OOM, KIND_WORKER,
+                           ErrorInfo, traceback_frames)
 from .minimize import minimize_inputs
 from .sandbox import ResourceLimits, run_sandboxed
 
@@ -39,6 +45,10 @@ ARTIFACT_FORMAT = "compi-repro-v1"
 
 #: frames of the root-cause stack that feed the signature hash
 _SIGNATURE_FRAMES = 3
+
+#: bug kinds whose probes fork even in an unsandboxed campaign: their
+#: runs spin until the watchdog or kill the executing process
+_FORKED_KINDS = frozenset({KIND_HANG, KIND_WORKER, KIND_OOM, KIND_CPU})
 
 
 def _message_type(message: str) -> str:
@@ -141,21 +151,23 @@ class CrashTriage:
     # ------------------------------------------------------------------
     def _probe(self, inputs: dict, bug: "BugRecord",
                signature: str) -> bool:
-        """One sandboxed re-execution: does ``inputs`` still crash the
-        same way?  Pinned to the configured timeout ceiling so probe
-        results do not depend on the campaign's adaptive-timeout state."""
+        """One re-execution: does ``inputs`` still crash the same way?
+        Pinned to the configured timeout ceiling so probe results do
+        not depend on the campaign's adaptive-timeout state."""
         from dataclasses import replace
         tc = replace(bug.testcase, inputs=dict(inputs))
-        outcome, death = run_sandboxed(self.runner, tc,
-                                       self.config.test_timeout, self.limits)
-        if death is not None:
-            err = ErrorInfo(kind=death.kind, global_rank=-1,
-                            message=death.message(self.limits))
-        elif outcome is not None and outcome.error is not None:
-            err = outcome.error
+        timeout = self.config.test_timeout
+        if self.config.sandbox_enabled() or bug.kind in _FORKED_KINDS:
+            outcome, death = run_sandboxed(self.runner, tc, timeout,
+                                           self.limits)
+            if death is not None:
+                err = ErrorInfo(kind=death.kind, global_rank=-1,
+                                message=death.message(self.limits))
+            else:
+                err = outcome.error
         else:
-            return False
-        return crash_signature(err) == signature
+            err = self.runner.probe(tc, timeout)[0].error
+        return err is not None and crash_signature(err) == signature
 
     def _emit(self, bug: "BugRecord", signature: str,
               directory: Path) -> Optional[Path]:

@@ -19,11 +19,13 @@ and committed here.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 
 from repro.__main__ import add_common, build_config
 from repro.core import Compi
+from repro.core.persist import CampaignLog
 
 #: iterations per golden campaign
 ITERATIONS = {"demo": 40, "hpl": 40, "race": 60, "susy": 60}
@@ -127,11 +129,18 @@ def campaign_digest(result, runs: list) -> tuple[str, tuple[int, ...]]:
     return h.hexdigest()[:16], solver_counters(result.solver)
 
 
-def run_golden(program, target: str, seed: int, **overrides):
+def run_golden(program, target: str, seed: int, log_path=None,
+               **overrides):
     """Run the golden ``target`` campaign at ``seed``; returns
-    ``(result, campaign_digest(result, runs))``."""
+    ``(result, campaign_digest(result, runs))``.  With ``log_path`` the
+    campaign streams a log there, so crash triage writes minimized
+    reproducers under ``<log_path>.repro/``."""
     runs: list = []
-    with Compi(program, golden_config(target, seed, **overrides)) as c:
+    with contextlib.ExitStack() as stack:
+        c = stack.enter_context(
+            Compi(program, golden_config(target, seed, **overrides)))
+        log = (None if log_path is None
+               else stack.enter_context(CampaignLog(log_path)))
         tap_runs(c, runs)
-        result = c.run(iterations=ITERATIONS[target])
+        result = c.run(iterations=ITERATIONS[target], log=log)
     return result, campaign_digest(result, runs)

@@ -56,9 +56,13 @@ def susy_program():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_susy_campaign_is_reproducible(susy_program, seed):
-    result, digest = run_golden(susy_program, "susy", seed)
+def test_susy_campaign_is_reproducible(susy_program, seed, tmp_path):
+    """Logged, so every new crash signature is minimized by in-process
+    triage probes between committed runs."""
+    result, digest = run_golden(susy_program, "susy", seed,
+                                log_path=tmp_path / "susy.jsonl")
     assert any(r.error_kind for r in result.iterations)  # crashes seen
+    assert result.supervision["minimize_probes"] > 0
     assert digest == GOLDEN[("susy", seed)]
 
 

@@ -200,12 +200,20 @@ def test_free_decision_waits_for_a_late_sender():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_race_exploration_matches_golden_digest(race_program, seed):
-    """``repro run --target race --explore-schedules --iterations 60``
-    explores the golden schedules, finds the golden bugs and covers the
-    golden branches (tests/golden.py)."""
-    _, digest = run_golden(race_program, "race", seed)
+def test_race_exploration_matches_golden_digest(race_program, seed,
+                                                tmp_path, monkeypatch):
+    """``repro run --target race --explore-schedules --iterations 60
+    --save-log`` explores the golden schedules, finds the golden bugs and
+    covers the golden branches (tests/golden.py).  The campaign is
+    logged, so crash triage minimizes its bugs with in-process probes
+    along the way, and those must not move the trajectory."""
+    forks = []
+    monkeypatch.setattr("repro.supervise.triage.run_sandboxed",
+                        lambda *a: forks.append(a))
+    result, digest = run_golden(race_program, "race", seed,
+                                log_path=tmp_path / "race.jsonl")
     assert digest == GOLDEN[("race", seed)]
+    assert result.supervision["minimize_probes"] > 0 and forks == []
 
 
 # ----------------------------------------------------------------------

@@ -116,15 +116,6 @@ def test_lru_eviction_is_deterministic_and_touch_aware():
     assert c.evictions == 1
 
 
-def test_untouched_get_does_not_refresh_recency():
-    c = CounterexampleCache(capacity=2)
-    c.put("a", CacheEntry(sat=False))
-    c.put("b", CacheEntry(sat=False))
-    c.get("a", touch=False)           # a stays oldest
-    c.put("c", CacheEntry(sat=False))
-    assert c.get("a") is None and c.get("b") is not None
-
-
 def test_disk_tier_persists_and_reloads(tmp_path):
     path = tmp_path / "cache.jsonl"
     c = CounterexampleCache(capacity=16, path=path)

@@ -432,3 +432,154 @@ def test_bug_signature_survives_log_roundtrip(tmp_path):
     by_iter = {b.iteration: b for b in loaded["bugs"]}
     for bug in result.bugs:
         assert by_iter[bug.iteration].signature == bug.signature
+
+
+# ----------------------------------------------------------------------
+# where triage probes run, and what they leave alone
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def seq_program():
+    prog = instrument_program(["repro.targets.seq_demo"])
+    yield prog
+    prog.unload()
+
+
+def _artifact_bytes(directory: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_inline_probes_write_the_forked_probes_artifacts(tmp_path,
+                                                         monkeypatch):
+    """Race seed 0: an unsandboxed campaign probes in-process and writes
+    the same reproducers, byte for byte, as a sandboxed one whose probes
+    fork."""
+    from repro.__main__ import load_target
+
+    from .golden import run_golden
+
+    forks = []
+    monkeypatch.setattr("repro.supervise.triage.run_sandboxed",
+                        lambda *a: forks.append(a))
+    program = load_target("race")
+    try:
+        inline, inline_digest = run_golden(program, "race", 0,
+                                           log_path=tmp_path / "in.jsonl")
+        monkeypatch.undo()
+        forked, forked_digest = run_golden(program, "race", 0,
+                                           log_path=tmp_path / "fk.jsonl",
+                                           sandbox=True)
+    finally:
+        program.unload()
+    assert forks == []
+    assert forked.supervision["sandboxed_runs"] > 0
+    assert inline.supervision["minimize_probes"] > 0
+    assert inline_digest == forked_digest
+    inline_arts = _artifact_bytes(repro_dir(tmp_path / "in.jsonl"))
+    assert len(inline_arts) == 2
+    assert inline_arts == _artifact_bytes(repro_dir(tmp_path / "fk.jsonl"))
+
+
+def _triage(program, **cfg_kw):
+    from repro.supervise import CrashTriage
+    cfg = _cfg(**cfg_kw)
+    return CrashTriage(TestRunner(program, cfg), {}, cfg, "test")
+
+
+def _bug(kind):
+    from repro.core.compi import BugRecord
+    return BugRecord(kind=kind, message="m", global_rank=-1, iteration=0,
+                     testcase=TestCase(inputs={"x": 1, "y": 2},
+                                       setup=_setup()))
+
+
+@pytest.mark.parametrize("kind,sandbox", [
+    ("hang", None), (KIND_WORKER, None), (KIND_OOM, None), (KIND_CPU, None),
+    ("assertion", True)])
+def test_probe_forks_for_unclean_kinds_and_sandboxed_campaigns(
+        demo_program, monkeypatch, kind, sandbox):
+    tri = _triage(demo_program, sandbox=sandbox)
+    death = SandboxDeath(kind=kind, desc="exit code 1")
+    forks = []
+
+    def fake_sandbox(runner, tc, timeout, limits):
+        forks.append(timeout)
+        return None, death
+
+    monkeypatch.setattr("repro.supervise.triage.run_sandboxed", fake_sandbox)
+    monkeypatch.setattr(tri.runner, "probe", None)  # never called
+    signature = crash_signature(ErrorInfo(
+        kind=kind, global_rank=-1, message=death.message(tri.limits)))
+    assert tri._probe({"x": 1, "y": 2}, _bug(kind), signature)
+    assert forks == [tri.config.test_timeout]
+
+
+def test_probe_runs_inline_for_python_level_crashes(seq_program,
+                                                    monkeypatch):
+    tri = _triage(seq_program)
+    forks = []
+    monkeypatch.setattr("repro.supervise.triage.run_sandboxed",
+                        lambda *a: forks.append(a))
+    rec, _ = tri.runner.probe(TestCase(inputs={"x": 100, "y": 50},
+                                       setup=_setup()), 10.0)
+    assert rec.error is not None and rec.error.kind == "assertion"
+    bug = _bug(rec.error.kind)
+    assert tri._probe({"x": 100, "y": 50}, bug, crash_signature(rec.error))
+    assert not tri._probe({"x": 1, "y": 2}, bug, crash_signature(rec.error))
+    assert forks == []
+
+
+def test_probe_leaves_runner_accounting_alone(seq_program):
+    runner = TestRunner(seq_program, _cfg())
+    runner.run(TestCase(inputs={"x": 1, "y": 2}, setup=_setup()))
+    runs, ewma = runner._runs, runner._ewma
+    for x in (1, 100, 7):
+        runner.probe(TestCase(inputs={"x": x, "y": 50}, setup=_setup()),
+                     10.0)
+    assert (runner._runs, runner._ewma) == (runs, ewma)
+    runner.run(TestCase(inputs={"x": 1, "y": 2}, setup=_setup()))
+    assert runner._runs == runs + 1
+
+
+def test_fork_fallback_counts_each_supervised_run_once(seq_program,
+                                                       monkeypatch):
+    """Without ``os.fork`` the sandbox runs in-process; a supervised run
+    must still advance the run counter by exactly one, a probe by zero."""
+    monkeypatch.setattr("repro.supervise.sandbox.sandbox_supported",
+                        lambda: False)
+    sup = _mk_supervisor(seq_program, sandbox=True)
+    tri = _triage(seq_program, sandbox=True)
+    tri.runner = sup.runner
+    tc = TestCase(inputs={"x": 100, "y": 50}, setup=_setup())
+    for expected in (1, 2, 3):
+        out = sup.run_inline(tc)
+        assert sup.runner._runs == expected
+    assert out.error is not None
+    assert tri._probe(dict(tc.inputs), _bug(out.error.kind),
+                      crash_signature(out.error))
+    assert sup.runner._runs == 3
+
+
+def test_fault_campaign_trajectory_ignores_minimization(tmp_path):
+    """Probes draw the fault sub-plan the next run will draw but never
+    advance it: a logged fault campaign commits the same trajectory with
+    minimization on and off.  ``crash`` gives triage injected faults to
+    minimize; it fires at a fixed MPI call in every run, so ``drop``,
+    whose losses depend on the run number, is what would expose a probe
+    that advanced the per-run fault streams."""
+    from repro.__main__ import load_target
+
+    from .golden import run_golden
+
+    program = load_target("demo")
+    try:
+        digests, probes = [], []
+        for minimize in (True, False):
+            result, digest = run_golden(
+                program, "demo", 0, log_path=tmp_path / f"{minimize}.jsonl",
+                faults=("crash", "drop"), minimize_crashes=minimize)
+            digests.append(digest)
+            probes.append(result.supervision["minimize_probes"])
+    finally:
+        program.unload()
+    assert probes[0] > 0 and probes[1] == 0
+    assert digests[0] == digests[1]
