@@ -75,8 +75,6 @@ def build_config(args: argparse.Namespace) -> CompiConfig:
         framework=not args.no_framework,
         faults=fault_kinds,
         fault_seed=getattr(args, "fault_seed", 0),
-        solver_cache=getattr(args, "solver_cache", True),
-        solver_cache_path=getattr(args, "solver_cache_path", None),
         max_rss_mb=getattr(args, "max_rss", None),
         max_cpu_s=getattr(args, "max_cpu", None),
         sandbox=getattr(args, "sandbox", None),
@@ -114,13 +112,6 @@ def add_common(p: argparse.ArgumentParser) -> None:
                         "solver-timeout)")
     p.add_argument("--fault-seed", type=int, default=0,
                    help="seed for the deterministic fault streams")
-    p.add_argument("--solver-cache", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="counterexample cache between the solve session "
-                        "and the solver (--no-solver-cache disables)")
-    p.add_argument("--solver-cache-path", default=None, metavar="PATH",
-                   help="JSONL disk tier for the solver cache; persists "
-                        "verdicts across --resume and campaigns")
     p.add_argument("--max-rss", type=int, default=None, metavar="MB",
                    help="address-space rlimit per test run; allocation "
                         "failures classify as the distinct 'oom' kind")
@@ -329,36 +320,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
         return 0
     finally:
         program.unload()
-
-
-def cmd_cache(args: argparse.Namespace) -> int:
-    """`cache` subcommand: inspect a solver-cache disk tier."""
-    from pathlib import Path
-
-    from .solvercache import CounterexampleCache
-
-    if args.action == "stats":
-        path = Path(args.path)
-        if not path.exists():
-            raise SystemExit(f"no solver-cache tier at {path}")
-        cache = CounterexampleCache(capacity=2 ** 31, path=path)
-        sat = cache.sat_entries
-        unsat = cache.unsat_entries
-        rows = [
-            ["entries", len(cache)],
-            ["sat models", sat],
-            ["unsat verdicts", unsat],
-            ["file size (bytes)", path.stat().st_size],
-        ]
-        print(format_table(["metric", "value"], rows,
-                           title=f"solver cache tier: {path}"))
-        return 0
-    path = Path(args.path)
-    if not path.exists():
-        raise SystemExit(f"no solver-cache tier at {path}")
-    path.unlink()
-    print(f"cleared solver cache tier {path}")
-    return 0
 
 
 def _pick_artifact(artifacts: list[dict], signature: str | None,
@@ -643,13 +604,6 @@ def main(argv: list[str] | None = None) -> int:
     p_fwd.add_argument("--dir", required=True)
     p_fwd.add_argument("--worker", type=int, required=True)
 
-    p_cache = sub.add_parser("cache",
-                             help="inspect the solver-cache disk tier")
-    p_cache.add_argument("action", choices=("stats", "clear"),
-                         help="stats: summarize a tier; clear: delete it")
-    p_cache.add_argument("--path", required=True,
-                         help="JSONL tier written via --solver-cache-path")
-
     args = parser.parse_args(argv)
     if args.command == "targets":
         return cmd_targets(args)
@@ -659,8 +613,6 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_replay(args)
     if args.command == "faults":
         return cmd_faults(args)
-    if args.command == "cache":
-        return cmd_cache(args)
     if args.command == "triage":
         return cmd_triage(args)
     if args.command == "fleet":

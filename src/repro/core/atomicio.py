@@ -1,9 +1,9 @@
 """Crash-safe file primitives shared by every durable store in the tool.
 
-Three subsystems persist state that must survive a SIGKILL at any
-instruction: the campaign JSONL log + pickle checkpoint (PR 1, see
-:mod:`repro.core.persist`), the solver-cache disk tier, and the fleet
-manifest (:mod:`repro.fleet.manifest`).  They all follow the same two
+Two subsystems persist state that must survive a SIGKILL at any
+instruction: the campaign JSONL log + pickle checkpoint (see
+:mod:`repro.core.persist`) and the fleet manifest
+(:mod:`repro.fleet.manifest`).  They all follow the same two
 disciplines, factored out here so the guarantees stay in one place:
 
 * **atomic replace** — new content goes to a temp file in the target's

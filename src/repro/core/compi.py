@@ -39,9 +39,8 @@ from ..concolic.coverage import CoverageMap
 from ..instrument.loader import InstrumentedProgram
 from ..search.base import SearchStrategy
 from ..search.dfs import TwoPhaseDFS
-from ..solver.incremental import SolveSession
+from ..solver.incremental import SolverStats, SolveSession
 from ..solver.search import Solver
-from ..solvercache import CounterexampleCache, SolverStats
 from .config import CompiConfig
 from .conflicts import TestSetup
 from .runner import TestRunner
@@ -128,8 +127,8 @@ class CampaignResult:
     degraded_iterations: int = 0
     #: total transient-error retries spent across the campaign
     retries: int = 0
-    #: cumulative solver/cache telemetry for the committed solve stream
-    #: (None for campaigns predating the solver-cache subsystem)
+    #: cumulative solver telemetry for the committed solve stream
+    #: (None for campaigns predating solver telemetry)
     solver: Optional[SolverStats] = None
     #: supervision/triage telemetry dict — worker kills, sandboxed runs,
     #: quarantine counts, unique crash signatures (None for campaigns
@@ -199,14 +198,11 @@ class Compi:
         self.specs = specs or specs_from_module(program.modules[program.entry_module])
         solver = Solver(rng=np.random.default_rng(cfg.rng_seed(2)),
                         node_limit=cfg.solver_node_limit)
-        cache = (CounterexampleCache(capacity=cfg.solver_cache_size,
-                                     path=cfg.solver_cache_path)
-                 if cfg.solver_cache else None)
         self.runner = TestRunner(program, cfg)
         initial = TestSetup(nprocs=min(cfg.init_nprocs, cfg.nprocs_cap),
                             focus=cfg.init_focus)
         self._initial_setup = initial
-        session = SolveSession(solver, cache=cache)
+        session = SolveSession(solver)
         if cfg.portfolio:
             if strategy is not None:
                 raise ValueError(
@@ -259,14 +255,6 @@ class Compi:
     @solver.setter
     def solver(self, value: Solver) -> None:
         self.scheduler.session.solver = value
-
-    @property
-    def solver_cache(self) -> Optional[CounterexampleCache]:
-        return self.scheduler.session.cache
-
-    @solver_cache.setter
-    def solver_cache(self, value: Optional[CounterexampleCache]) -> None:
-        self.scheduler.session.cache = value
 
     @property
     def solver_stats(self) -> SolverStats:
@@ -415,9 +403,6 @@ class Compi:
             "caps": self._caps,
             "rng": self.rng,
             "solver": self.solver,
-            # cache contents steer the committed solve stream, so exact
-            # resume must restore them along with the solver
-            "solver_cache": self.solver_cache,
             "solver_stats": self.solver_stats,
             "strategy": self.strategy,
             "next": self._next,
@@ -466,8 +451,9 @@ class Compi:
             self.bugs = state["bugs"]
             self.records = state["records"]
             self.solver = state["solver"]
-            if "solver_cache" in state:  # absent in pre-cache checkpoints
-                self.solver_cache = state["solver_cache"]
+            # older checkpoints may lack the stats, and may carry the
+            # state of the retired counterexample cache, which is ignored
+            if "solver_stats" in state:
                 self.solver_stats = state["solver_stats"]
             if portfolio_state is not None:
                 # restores every arm (strategies + shared tree, RNGs,

@@ -21,7 +21,9 @@ class CompiConfig:
     reference probe and solver paths that now have one implementation
     each, and ``workers``, ``speculation_width``, ``speculation_depth``,
     ``breaker_rebuilds``, ``heartbeat_stale`` and ``wedge_grace`` drove
-    a speculative process-pool executor the engine no longer has;
+    a speculative process-pool executor the engine no longer has, and
+    the on/off switch, LRU size and disk-tier path of the retired
+    counterexample cache configured a cache the solver no longer has;
     :meth:`from_dict` drops them.
     """
 
@@ -108,17 +110,6 @@ class CompiConfig:
     #: the ablation benchmark: DFS then re-negates reduction-collapsed
     #: loop exits forever.
     divergence_detection: bool = True
-
-    # -- solver acceleration (repro.solvercache) ---------------------------
-    #: counterexample cache between the solve session and the solver:
-    #: canonicalized slices replay cached SAT models (re-validated before
-    #: use) and short-circuit known-UNSAT repeats
-    solver_cache: bool = True
-    #: LRU capacity of the in-memory cache tier, entries
-    solver_cache_size: int = 4096
-    #: JSONL disk tier path; persists verdicts across --resume and across
-    #: campaigns on the same target (None = memory tier only)
-    solver_cache_path: Optional[str] = None
 
     # -- supervised execution (repro.supervise) ----------------------------
     #: address-space rlimit per run, MB (None = unlimited).  Applied in

@@ -23,7 +23,7 @@ Format: one JSON object per line, discriminated by ``"type"``:
 * ``iteration`` — one IterationRecord
 * ``bug``       — one BugRecord with its error-inducing inputs
 * ``cov``        — newly covered branches this iteration (resume delta)
-* ``solver``     — cumulative solver/cache telemetry (end of campaign)
+* ``solver``     — cumulative solver telemetry (end of campaign)
 * ``quarantine`` — one input quarantined after repeated worker kills
   (written with the iteration that confirmed the kill; honored by every
   subsequent resume)
@@ -49,6 +49,7 @@ import dataclasses
 import json
 import os
 import pickle
+import sys
 from pathlib import Path
 from typing import Any, Iterator, Optional, TextIO, Union
 
@@ -157,7 +158,7 @@ class CampaignLog:
                                             for (s, d) in new_branches)})
 
     def write_solver(self, stats) -> None:
-        """Cumulative solver/cache telemetry (a SolverStats, or None)."""
+        """Cumulative solver telemetry (a SolverStats, or None)."""
         if stats is not None:
             self._write({"type": "solver", **stats.as_dict()})
 
@@ -220,7 +221,7 @@ def load_campaign(path: Union[str, Path]) -> dict:
 
     Returns a dict with ``meta``, ``iterations`` (IterationRecord list),
     ``bugs`` (BugRecord list), ``coverage`` (raw final dict, if the
-    campaign finished), ``solver`` (raw solver/cache telemetry dict, if
+    campaign finished), ``solver`` (raw solver telemetry dict, if
     recorded), ``quarantine`` (raw quarantine-entry dicts, in log order),
     ``supervision`` (raw telemetry dict, if recorded), ``portfolio``
     (raw per-arm telemetry dict, if recorded) and
@@ -307,13 +308,40 @@ def write_checkpoint(log_path: Union[str, Path], state: dict) -> Path:
         pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
 
 
+class _Discarded:
+    """Unpickles an instance of a deleted class, dropping its state."""
+
+    def __setstate__(self, state) -> None:
+        pass
+
+
+#: modules older checkpoints name whose classes moved elsewhere
+_MOVED_MODULES = {"repro.solvercache.telemetry": "repro.solver.incremental"}
+#: deleted modules whose pickled instances are discarded on load (the
+#: counterexample cache and its entries)
+_DELETED_MODULES = {"repro.solvercache.cache"}
+
+
+class _CheckpointUnpickler(pickle.Unpickler):
+    def find_class(self, module: str, name: str):
+        if module in _DELETED_MODULES:
+            return _Discarded
+        return super().find_class(_MOVED_MODULES.get(module, module), name)
+
+
 def load_checkpoint(log_path: Union[str, Path]) -> Optional[dict]:
-    """Load the checkpoint sidecar; ``None`` if absent or unreadable."""
+    """Load the checkpoint sidecar; ``None`` if absent or unreadable.
+
+    An unreadable sidecar is reported on stderr: the caller then falls
+    back to the JSONL log, which restarts the search."""
     target = checkpoint_path(log_path)
     if not target.exists():
         return None
     try:
         with target.open("rb") as fh:
-            return pickle.load(fh)
-    except Exception:
-        return None  # damaged sidecar: fall back to the JSONL log
+            return _CheckpointUnpickler(fh).load()
+    except Exception as exc:
+        print(f"checkpoint {target} failed to load "
+              f"({type(exc).__name__}: {exc}); falling back to the JSONL log",
+              file=sys.stderr)
+        return None

@@ -27,15 +27,9 @@ def campaign_summary(result: CampaignResult) -> str:
             f"solver             : {s.solves} solves, "
             f"{s.nodes} nodes, {s.propagations} propagations, "
             f"{s.exhaustions} exhaustions",
-            f"solver cache       : {s.cache_hits} hits, "
-            f"{s.unsat_hits} unsat-hits, {s.cache_misses} misses "
-            f"({100 * s.hit_rate:.1f}% hit rate)",
             f"solver latency     : {1000 * s.latency_ewma:.2f} ms EWMA, "
             f"avg slice {s.avg_slice:.1f} (max {s.max_slice})",
         ]
-        if s.stale_hits:
-            lines.append(f"stale cache hits   : {s.stale_hits} "
-                         f"(model failed re-check; solved fresh)")
     sup = result.supervision
     if sup:
         if sup.get("sandboxed_runs") or sup.get("worker_kills"):

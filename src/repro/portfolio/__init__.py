@@ -6,9 +6,8 @@ committing to one up front wastes the others entirely.  This subsystem
 runs several strategies **as bandit arms of one campaign**:
 
 * every arm's strategy reads and writes one shared
-  :class:`~repro.search.base.ExecutionTree` + coverage frontier (and the
-  one counterexample cache), so work one arm did is never re-derived by
-  a sibling;
+  :class:`~repro.search.base.ExecutionTree` + coverage frontier, so
+  work one arm did is never re-derived by a sibling;
 * a deterministic UCB bandit (:mod:`.bandit`) reallocates the iteration
   budget toward the arm currently buying the most coverage per unit of
   (deterministic, event-count-proxied) cost;
@@ -19,8 +18,8 @@ runs several strategies **as bandit arms of one campaign**:
 
 Determinism: the bandit never reads wall-clock time (see
 ``docs/ARCHITECTURE.md``), so portfolio campaigns keep the engine's
-crown-jewel invariants — fixed seed ⇒ same campaign, cache-on ≡
-cache-off, and ``--resume`` ≡ uninterrupted.
+crown-jewel invariants — fixed seed ⇒ same campaign, and ``--resume``
+≡ uninterrupted.
 """
 
 from .arms import (ARM_NAMES, DEFAULT_PORTFOLIO, build_arm_strategy,

@@ -8,9 +8,9 @@ to a **portfolio**: each arm keeps its own full ``Scheduler`` (strategy,
 campaign RNG, pending candidate), but all arms share
 
 * one :class:`~repro.search.base.ExecutionTree` (the frontier),
-* one :class:`~repro.solver.incremental.SolveSession` (solver +
-  counterexample cache + simplify memo — safe to share because PR-3's
-  per-solve seeded RNG makes solving order-independent),
+* one :class:`~repro.solver.incremental.SolveSession` (solver + stem
+  frame — safe to share because the per-solve seeded RNG makes solving
+  order-independent),
 * one caps dict (input caps harvested from traces), and
 * the engine's one coverage map / collector.
 
@@ -48,8 +48,8 @@ def iteration_cost(trace: Optional[TraceResult]) -> float:
     seconds would break replayability (see :mod:`.bandit`).  The trace
     event count is the deterministic stand-in: it dominates both
     execution time (events executed) and solver time (constraints
-    recorded), and is identical across hosts, cache settings,
-    and resumes.  Errored runs (no trace) cost the baseline 1.0.
+    recorded), and is identical across hosts and resumes.  Errored
+    runs (no trace) cost the baseline 1.0.
     """
     if trace is None:
         return 1.0

@@ -12,25 +12,19 @@ solver:
 :func:`dependent_slice` computes the transitive variable-sharing closure;
 :func:`solve_incremental` solves the slice and merges the result over the
 previous model, reporting exactly which variables changed.
-
-Between the slicer and the backtracking solver sits the optional
-**counterexample cache** (:mod:`repro.solvercache`): the sliced query is
-canonicalized into a renaming/order-invariant key, and a cached SAT
-model is replayed (after re-validation through ``check_assignment``) or
-a cached UNSAT verdict short-circuits the solve.  See docs/SOLVER.md.
+:class:`SolveSession` keeps one solver, the stem frame and the
+cumulative :class:`SolverStats` across a campaign's solves.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from ..concolic.expr import Constraint
-from ..solvercache import (CacheEntry, SolverStats, canonical_key,
-                           canonicalize_model, decanonicalize)
-from .intervals import Box, check_assignment
-from .search import Problem, Solver
+from .intervals import Box
+from .search import Problem, Solver, SolveStats
 from .simplify import simplify
 
 
@@ -68,44 +62,99 @@ class IncrementalResult:
     assignment: dict[int, int]          # full model (slice ∪ kept old values)
     changed: set[int] = field(default_factory=set)  # vids whose value moved
     slice_size: int = 0
-    #: the model came from the counterexample cache (telemetry only)
-    cached: bool = False
 
 
-def _slice_query(constraints: list[Constraint], negated: Constraint,
-                 domains: Box, previous: dict[int, int],
-                 simplifier) -> tuple[list[Constraint], frozenset[int],
-                                      Box, dict[int, int]]:
-    """Simplify the context, slice around the negation, restrict the
-    domains and previous values to the closed variable set."""
-    all_constraints = simplifier(list(constraints)) + [negated]
-    sliced, closed_vars = dependent_slice(all_constraints, negated.vars())
-    slice_domains: Box = {}
-    for v in closed_vars:
-        if v not in domains:
-            raise KeyError(f"variable v{v} has no domain")
-        slice_domains[v] = domains[v]
-    slice_prev = {v: previous[v] for v in closed_vars if v in previous}
-    return sliced, closed_vars, slice_domains, slice_prev
+@dataclass
+class SolverStats:
+    """Cumulative statistics of one solve session.
 
+    :attr:`Solver.stats` holds only the last call's counters (the node
+    budget needs per-call counts); this is the campaign-lifetime view
+    the report surfaces.  The counters are deterministic functions of
+    the committed query stream.  The latency fields are wall-clock
+    telemetry for the report and the benchmarks, and steer nothing.
+    """
 
-def _valid_model(sliced: list[Constraint], slice_domains: Box,
-                 model: dict[int, int]) -> bool:
-    """Soundness gate for replayed cache models: full variable cover,
-    in-domain values, and every sliced constraint satisfied."""
-    if set(model) != set(slice_domains):
-        return False
-    for v, val in model.items():
-        lo, hi = slice_domains[v]
-        if not lo <= val <= hi:
-            return False
-    return check_assignment(sliced, model)
+    #: total incremental solve requests
+    solves: int = 0
+    #: solves that returned a model
+    sat_solves: int = 0
+    #: solves that returned UNSAT / gave up
+    unsat_solves: int = 0
+    #: cumulative backtracking nodes
+    nodes: int = 0
+    #: cumulative propagation passes
+    propagations: int = 0
+    #: solves that hit the node budget
+    exhaustions: int = 0
+    #: cumulative dependency-slice sizes (constraints per request)
+    slice_constraints: int = 0
+    #: largest dependency slice seen
+    max_slice: int = 0
+    #: wall-clock spent inside solve requests, seconds
+    solve_time: float = 0.0
+    #: EWMA of per-request latency, seconds
+    latency_ewma: float = 0.0
+    #: EWMA smoothing factor
+    latency_alpha: float = 0.2
+
+    def note_solve(self, solver_stats: SolveStats, sat: bool,
+                   slice_size: int, latency: float) -> None:
+        """Fold one solve's per-call counters and latency in."""
+        self.solves += 1
+        if sat:
+            self.sat_solves += 1
+        else:
+            self.unsat_solves += 1
+        self.nodes += solver_stats.nodes
+        self.propagations += solver_stats.propagations
+        if solver_stats.exhausted:
+            self.exhaustions += 1
+        self.slice_constraints += slice_size
+        self.max_slice = max(self.max_slice, slice_size)
+        self.solve_time += latency
+        if self.latency_ewma == 0.0:
+            self.latency_ewma = latency
+        else:
+            a = self.latency_alpha
+            self.latency_ewma = a * latency + (1 - a) * self.latency_ewma
+
+    # perfbench/run.py's ``solver.cache_hit_rate`` is the only reader of
+    # these two: the counterexample cache they counted was removed, so
+    # they always read 0
+    @property
+    def cache_hits(self) -> int:
+        return 0
+
+    @property
+    def unsat_hits(self) -> int:
+        return 0
+
+    @property
+    def avg_slice(self) -> float:
+        return self.slice_constraints / self.solves if self.solves else 0.0
+
+    def __setstate__(self, state: dict) -> None:
+        # checkpoints from before the cache's removal also pickle its
+        # counters; keep only the fields this class still has
+        names = {f.name for f in fields(self)}
+        self.__dict__.update({k: v for k, v in state.items() if k in names})
+
+    def snapshot(self) -> "SolverStats":
+        """A detached copy (reports must not alias live counters)."""
+        return SolverStats(**{f.name: getattr(self, f.name)
+                              for f in fields(self)})
+
+    def as_dict(self) -> dict:
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["avg_slice"] = round(self.avg_slice, 2)
+        return out
 
 
 def solve_incremental(constraints: list[Constraint], negated: Constraint,
                       domains: Box, previous: dict[int, int],
                       solver: Optional[Solver] = None,
-                      simplifier=None, cache=None,
+                      simplifier=None,
                       stats: Optional[SolverStats] = None,
                       ) -> Optional[IncrementalResult]:
     """Solve ``constraints ∧ negated`` incrementally against ``previous``.
@@ -118,63 +167,31 @@ def solve_incremental(constraints: list[Constraint], negated: Constraint,
 
     ``simplifier`` replaces :func:`simplify` — :meth:`SolveSession.solve_at`
     passes a pass-through for a context its stem ladder already
-    simplified (results are identical either way); ``cache`` is a
-    counterexample cache consulted before — and fed after — the
-    backtracking solve; ``stats`` accumulates session telemetry.
+    simplified (results are identical either way); ``stats`` accumulates
+    session telemetry.
     """
     solver = solver or Solver()
     t0 = time.perf_counter()
-    sliced, closed_vars, slice_domains, slice_prev = _slice_query(
-        constraints, negated, domains, previous, simplifier or simplify)
-
-    def _result(model: dict[int, int], cached: bool) -> IncrementalResult:
-        assignment = dict(previous)
-        assignment.update(model)
-        changed = {v for v, val in model.items() if previous.get(v) != val}
-        return IncrementalResult(assignment=assignment, changed=changed,
-                                 slice_size=len(sliced), cached=cached)
-
-    key = order = None
-    if cache is not None:
-        key, order = canonical_key(sliced, slice_domains, slice_prev)
-        entry = cache.get(key)
-        if entry is not None:
-            if not entry.sat:
-                if stats is not None:
-                    stats.unsat_hits += 1
-                    stats.note_request(len(sliced), time.perf_counter() - t0)
-                return None
-            model = decanonicalize(entry.model, order)
-            if _valid_model(sliced, slice_domains, model):
-                if stats is not None:
-                    stats.cache_hits += 1
-                    stats.note_request(len(sliced), time.perf_counter() - t0)
-                return _result(model, cached=True)
-            # stale or corrupted entry: fall through to a fresh solve,
-            # whose verdict will replace it
-            if stats is not None:
-                stats.stale_hits += 1
-
+    context = (simplifier or simplify)(list(constraints)) + [negated]
+    sliced, closed_vars = dependent_slice(context, negated.vars())
+    slice_domains: Box = {}
+    for v in closed_vars:
+        if v not in domains:
+            raise KeyError(f"variable v{v} has no domain")
+        slice_domains[v] = domains[v]
+    slice_prev = {v: previous[v] for v in closed_vars if v in previous}
     model = solver.solve(Problem(constraints=sliced, domains=slice_domains,
                                  previous=slice_prev))
-    if cache is not None:
-        if model is not None:
-            cache.put(key, CacheEntry(sat=True,
-                                      model=canonicalize_model(model, order)))
-            if stats is not None:
-                stats.stores += 1
-        elif not solver.stats.exhausted:
-            # a give-up under the node budget is not a verdict; only
-            # completed searches are cached as UNSAT
-            cache.put(key, CacheEntry(sat=False))
-            if stats is not None:
-                stats.stores += 1
     if stats is not None:
-        stats.note_fresh_solve(solver.stats, sat=model is not None)
-        stats.note_request(len(sliced), time.perf_counter() - t0)
+        stats.note_solve(solver.stats, model is not None, len(sliced),
+                         time.perf_counter() - t0)
     if model is None:
         return None
-    return _result(model, cached=False)
+    assignment = dict(previous)
+    assignment.update(model)
+    changed = {v for v, val in model.items() if previous.get(v) != val}
+    return IncrementalResult(assignment=assignment, changed=changed,
+                             slice_size=len(sliced))
 
 
 def _identity(constraints: list[Constraint]) -> list[Constraint]:
@@ -184,7 +201,7 @@ def _identity(constraints: list[Constraint]) -> list[Constraint]:
     context that is already ``simplify(stem + prefix)`` (maintained by
     the stem frame's ladder); because :func:`simplify` is idempotent,
     skipping the redundant pass yields the exact same constraint list —
-    hence identical slices and identical cache keys."""
+    hence identical slices."""
     return constraints
 
 
@@ -234,10 +251,10 @@ class _StemFrame:
 class SolveSession:
     """A sequence of incremental solves over one (stateful) solver.
 
-    The session owns the solver, the counterexample cache, the stem
-    frame, and the cumulative :class:`SolverStats` that the campaign
-    report surfaces.  The engine scheduler funnels every committed
-    negation through one long-lived session.
+    The session owns the solver, the stem frame, and the cumulative
+    :class:`SolverStats` that the campaign report surfaces.  The engine
+    scheduler funnels every committed negation through one long-lived
+    session.
 
     **Persistent incremental solving**: the scheduler installs each
     trace's invariant stem (MPI semantics + caps) once with
@@ -246,28 +263,25 @@ class SolveSession:
     re-simplifying the whole context.  :meth:`solve` is the plain
     reference: ``solve_at(frame, prefix, negated, ...)`` produces
     bit-for-bit the results of ``solve(list(frame.raw) + prefix,
-    negated, ...)`` — same sliced query, same cache keys, same solver
-    node walk — because ladder entries equal a fresh ``simplify`` of the
+    negated, ...)`` — same sliced query, same solver node walk —
+    because ladder entries equal a fresh ``simplify`` of the
     concatenation and :func:`simplify` is idempotent.  The frame is a
     pure cache: it is not checkpointed, and a resumed session rebuilds
     it on first use.
     """
 
-    def __init__(self, solver: Optional[Solver] = None, cache=None,
+    def __init__(self, solver: Optional[Solver] = None,
                  stats: Optional[SolverStats] = None):
         self.solver = solver or Solver()
-        self.cache = cache
         self.stats = stats if stats is not None else SolverStats()
-        self.solves = 0
         self._frame: Optional[_StemFrame] = None
 
     def solve(self, constraints: list[Constraint], negated: Constraint,
               domains: Box,
               previous: dict[int, int]) -> Optional[IncrementalResult]:
-        self.solves += 1
         return solve_incremental(constraints, negated, domains,
                                  previous=previous, solver=self.solver,
-                                 cache=self.cache, stats=self.stats)
+                                 stats=self.stats)
 
     def stem(self, stem: list[Constraint]) -> _StemFrame:
         """The session's frame for ``stem``: subsequent :meth:`solve_at`
@@ -290,8 +304,6 @@ class SolveSession:
 
         Bit-for-bit equivalent to :meth:`solve` on the concatenated
         context (see the class docstring for why)."""
-        self.solves += 1
         return solve_incremental(frame.context_at(prefix), negated, domains,
                                  previous=previous, solver=self.solver,
-                                 simplifier=_identity, cache=self.cache,
-                                 stats=self.stats)
+                                 simplifier=_identity, stats=self.stats)

@@ -53,10 +53,10 @@ class Problem:
         """Stable 32-bit fingerprint of the whole problem.
 
         Seeds the per-solve sampling RNG, making every solve a pure
-        function of (problem, solver seed): repeating a query — or
-        skipping it on a cache hit — cannot shift the samples any
-        *other* query sees.  Uses only content, never ids or hashes
-        subject to per-process randomization.
+        function of (problem, solver seed): repeating or skipping a
+        query cannot shift the samples any *other* query sees.  Uses
+        only content, never ids or hashes subject to per-process
+        randomization.
         """
         cons = sorted((c.op, c.lhs.const, tuple(sorted(c.lhs.coeffs.items())))
                       for c in self.normalized_constraints())
@@ -78,12 +78,10 @@ class Solver:
     Sampled value candidates draw from a *per-solve* RNG seeded by
     ``(sample_seed, problem digest)``: the model returned for a problem
     is a pure function of the problem and the solver's seed, never of
-    which other problems were solved before it.  That purity is what
-    lets the counterexample cache skip repeated solves without
-    perturbing the rest of the campaign.  ``stats`` holds the *last*
-    call's counters (the node budget needs per-call counts); the
+    which other problems were solved before it.  ``stats`` holds the
+    *last* call's counters (the node budget needs per-call counts); the
     session-level cumulative view lives in
-    :class:`repro.solvercache.SolverStats`.
+    :class:`repro.solver.incremental.SolverStats`.
     """
 
     def __init__(self, rng: Optional[np.random.Generator] = None,

@@ -1,7 +1,7 @@
 """Golden trajectories: wall-clock-free digests of fixed-seed campaigns.
 
-Every execution mode (uninterrupted, resumed from a checkpoint, solver
-cache off) must reproduce the same committed campaign.  Instead of
+Every execution mode (uninterrupted, resumed from a checkpoint) must
+reproduce the same committed campaign.  Instead of
 running a second implementation next to the one under test and
 comparing the two, each mode is checked against a digest recorded once
 and committed here.
@@ -11,9 +11,8 @@ and committed here.
 * the **trajectory**: a hash of every committed run (inputs, setup,
   schedule ID, per-run coverage), every iteration record (minus the
   wall-clock fields), the final coverage and the bugs;
-* the twelve **deterministic solver counters** of the committed solve
-  stream.  A mode that legitimately changes the solver's work (the
-  counterexample cache switched off) compares the trajectory only.
+* the seven **deterministic solver counters** of the committed solve
+  stream.
 """
 
 from __future__ import annotations
@@ -48,30 +47,18 @@ FLAT_TIMEOUT = {"demo", "hpl", "susy"}
 #: serial campaigns; each entry was confirmed identical across the
 #: probe and solver implementations it pins
 GOLDEN: dict[tuple[str, int], tuple[str, tuple[int, ...]]] = {
-    ("demo", 0): ("44315ac9b293b741",
-                  (38, 9, 12, 17, 0, 11, 6, 17, 19, 19, 148, 5)),
-    ("demo", 1): ("0e7080bb328eea66",
-                  (39, 9, 14, 16, 0, 11, 5, 16, 19, 19, 152, 5)),
-    ("demo", 2): ("1399ce76a4c664be",
-                  (35, 10, 12, 13, 0, 8, 5, 13, 13, 13, 136, 5)),
-    ("hpl", 0): ("e7fb697dd3d2210c",
-                 (41, 8, 0, 33, 0, 31, 2, 33, 42, 42, 109, 10)),
-    ("hpl", 1): ("f6d396a36a96bb47",
-                 (41, 8, 0, 33, 0, 31, 2, 33, 42, 42, 109, 10)),
-    ("hpl", 2): ("fe90cc2ae3b052de",
-                 (41, 8, 0, 33, 0, 31, 2, 33, 42, 42, 109, 10)),
-    ("race", 0): ("4fbda8322dd486bf",
-                  (16, 1, 1, 14, 0, 8, 6, 14, 11, 11, 69, 7)),
-    ("race", 1): ("9dff643c9c5b5a54",
-                  (17, 1, 1, 15, 0, 9, 6, 15, 12, 12, 70, 7)),
-    ("race", 2): ("e76ec02dcc95d12c",
-                  (17, 1, 1, 15, 0, 9, 6, 15, 12, 12, 70, 7)),
-    ("susy", 0): ("9e28fa2e2d02cc40",
-                  (109, 12, 65, 32, 0, 26, 6, 32, 26, 26, 320, 8)),
-    ("susy", 1): ("9821b9e6c0c4dbab",
-                  (106, 14, 58, 34, 0, 26, 8, 34, 26, 26, 305, 8)),
-    ("susy", 2): ("9311b010d46aedcc",
-                  (111, 13, 63, 35, 0, 27, 8, 35, 27, 27, 320, 8)),
+    ("demo", 0): ("44315ac9b293b741", (38, 20, 18, 37, 37, 148, 5)),
+    ("demo", 1): ("0e7080bb328eea66", (39, 20, 19, 37, 37, 152, 5)),
+    ("demo", 2): ("1399ce76a4c664be", (35, 18, 17, 33, 33, 136, 5)),
+    ("hpl", 0): ("e7fb697dd3d2210c", (41, 39, 2, 50, 50, 109, 10)),
+    ("hpl", 1): ("f6d396a36a96bb47", (41, 39, 2, 50, 50, 109, 10)),
+    ("hpl", 2): ("fe90cc2ae3b052de", (41, 39, 2, 50, 50, 109, 10)),
+    ("race", 0): ("4fbda8322dd486bf", (16, 9, 7, 12, 12, 69, 7)),
+    ("race", 1): ("9dff643c9c5b5a54", (17, 10, 7, 13, 13, 70, 7)),
+    ("race", 2): ("e76ec02dcc95d12c", (17, 10, 7, 13, 13, 70, 7)),
+    ("susy", 0): ("9e28fa2e2d02cc40", (109, 38, 71, 38, 38, 320, 8)),
+    ("susy", 1): ("9821b9e6c0c4dbab", (106, 40, 66, 40, 40, 305, 8)),
+    ("susy", 2): ("9311b010d46aedcc", (111, 40, 71, 40, 40, 320, 8)),
 }
 
 
@@ -105,9 +92,8 @@ def tap_runs(compi: Compi, runs: list) -> None:
 
 def solver_counters(s) -> tuple[int, ...]:
     """The deterministic counters of a :class:`SolverStats`."""
-    return (s.solves, s.cache_hits, s.unsat_hits, s.cache_misses,
-            s.stale_hits, s.sat_solves, s.unsat_solves, s.stores,
-            s.nodes, s.propagations, s.slice_constraints, s.max_slice)
+    return (s.solves, s.sat_solves, s.unsat_solves, s.nodes,
+            s.propagations, s.slice_constraints, s.max_slice)
 
 
 def campaign_digest(result, runs: list) -> tuple[str, tuple[int, ...]]:

@@ -88,6 +88,23 @@ def test_run_rejects_retired_pool_flags(flag, capsys):
     assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [["--solver-cache"], ["--no-solver-cache"],
+                                  ["--solver-cache-path", "c.jsonl"]])
+def test_run_rejects_retired_solver_cache_flags(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--target", "demo", "--iterations", "1", *args])
+    assert exc.value.code == 2  # argparse usage error, nothing ran
+    assert f"unrecognized arguments: {' '.join(args)}" in \
+        capsys.readouterr().err
+
+
+def test_retired_cache_subcommand_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cache", "stats", "--path", "c.jsonl"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'cache'" in capsys.readouterr().err
+
+
 def test_unknown_variant_rejected():
     with pytest.raises(SystemExit):
         main(["compare", "--target", "demo", "--variants", "R,bogus"])

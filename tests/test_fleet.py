@@ -72,7 +72,8 @@ def test_spec_rejects_unknown_target_strategy_and_config_key():
 
 @pytest.mark.parametrize("key", ["probe_batching", "persistent_solver",
                                  "workers", "speculation_width",
-                                 "speculation_depth"])
+                                 "speculation_depth", "solver_cache",
+                                 "solver_cache_size", "solver_cache_path"])
 def test_spec_rejects_retired_config_keys(key):
     with pytest.raises(FleetSpecError, match="unknown shard.config"):
         FleetSpec.from_dict(spec_dict(shard={"config": {key: False}}))

@@ -1,6 +1,10 @@
 """Crash-safe persistence: log modes, torn tails, checkpointed resume."""
 
+import dataclasses
 import json
+import sys
+import types
+from collections import OrderedDict
 
 import pytest
 
@@ -9,6 +13,9 @@ from repro.core.persist import (CampaignLog, checkpoint_path, load_campaign,
                                 load_checkpoint, read_records,
                                 write_checkpoint)
 from repro.instrument import instrument_program
+from repro.solver import SolverStats
+
+from .golden import solver_counters
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +190,94 @@ def test_pre_portfolio_checkpoint_defaults_to_single_arm(seq_program,
     assert len(result.iterations) == 6
     assert all(r.arm == "" for r in result.iterations)
     assert result.portfolio is None
+
+
+def _retired_class(module: str, name: str) -> type:
+    """A stand-in for a class of a deleted module: instances pickle
+    under ``module.name``, as the real class's did."""
+    cls = type(name, (), {})
+    cls.__module__ = module
+    return cls
+
+
+def test_checkpoint_naming_retired_cache_classes_resumes_exactly(
+        seq_program, tmp_path, monkeypatch, capsys):
+    """Checkpoints written while the solver had a counterexample cache
+    pickle ``repro.solvercache.*`` classes: the cache, its entries and
+    the session's SolverStats.  They still resume through the checkpoint,
+    not the JSONL fallback, and continue bit-for-bit."""
+    full = Compi(seq_program, CFG).run(iterations=12)
+
+    p = tmp_path / "part.jsonl"
+    with CampaignLog(p) as log:
+        Compi(seq_program, CFG).run(iterations=5, log=log)
+    state = load_checkpoint(p)
+    with monkeypatch.context() as m:
+        modules = {}
+        for name in ("repro.solvercache", "repro.solvercache.cache",
+                     "repro.solvercache.telemetry"):
+            modules[name] = types.ModuleType(name)
+            m.setitem(sys.modules, name, modules[name])
+        cache_mod = modules["repro.solvercache.cache"]
+        stats_mod = modules["repro.solvercache.telemetry"]
+        cache_mod.CounterexampleCache = _retired_class(
+            cache_mod.__name__, "CounterexampleCache")
+        cache_mod.CacheEntry = _retired_class(cache_mod.__name__,
+                                              "CacheEntry")
+        stats_mod.SolverStats = _retired_class(stats_mod.__name__,
+                                               "SolverStats")
+        entry = cache_mod.CacheEntry()
+        entry.__dict__.update(sat=True, model={0: 1})
+        cache = cache_mod.CounterexampleCache()
+        cache.__dict__.update(capacity=4096, path=None, evictions=0,
+                              _entries=OrderedDict(k=entry))
+        stats = stats_mod.SolverStats()
+        stats.__dict__.update(dataclasses.asdict(state["solver_stats"]),
+                              cache_hits=3, unsat_hits=2, cache_misses=1,
+                              stale_hits=0, stores=1)
+        state["solver_cache"] = cache
+        state["solver_stats"] = stats
+        write_checkpoint(p, state)
+    raw = checkpoint_path(p).read_bytes()
+    assert b"repro.solvercache.cache" in raw
+    assert b"repro.solvercache.telemetry" in raw
+
+    def no_fallback(path):
+        raise AssertionError("resume took the JSONL fallback")
+    monkeypatch.setattr("repro.core.persist.load_campaign", no_fallback)
+    resumed_c = Compi.resume(seq_program, p)
+    assert capsys.readouterr().err == ""
+    assert resumed_c._iteration == 5
+    restored = resumed_c.solver_stats
+    assert type(restored) is SolverStats
+    assert set(vars(restored)) == \
+        {f.name for f in dataclasses.fields(SolverStats)}
+    with CampaignLog(p, mode="a") as log:
+        resumed = resumed_c.run(iterations=7, log=log)
+
+    proj = lambda it: [(r.iteration, r.origin, r.nprocs, r.path_len,
+                        r.covered_after, r.error_kind, r.negated_site)
+                       for r in it]
+    assert proj(resumed.iterations) == proj(full.iterations)
+    assert resumed.coverage.branches == full.coverage.branches
+    assert _keys(resumed) == _keys(full)
+    assert solver_counters(resumed.solver) == solver_counters(full.solver)
+
+
+def test_unreadable_checkpoint_is_reported_before_fallback(seq_program,
+                                                          tmp_path, capsys):
+    p = tmp_path / "c.jsonl"
+    with CampaignLog(p) as log:
+        Compi(seq_program, CFG).run(iterations=4, log=log)
+    sidecar = checkpoint_path(p)
+    sidecar.write_bytes(sidecar.read_bytes()[:200])  # truncated sidecar
+
+    resumed = Compi.resume(seq_program, p)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert str(sidecar) in err[0] and "Error" in err[0]
+    assert resumed._iteration == 4       # restored from the JSONL log
+    assert resumed._next.origin == "resume"
 
 
 def test_streamed_log_equals_batch_save(seq_program, tmp_path):

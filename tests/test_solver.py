@@ -1,5 +1,8 @@
-"""Tests for interval propagation, the backtracking solver, and
-incremental solving (previous-value preference, dependency slicing)."""
+"""Tests for interval propagation, the backtracking solver, incremental
+solving (previous-value preference, dependency slicing), the solve
+session's stem ladder, and an exhaustive-enumeration SAT/UNSAT oracle."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -7,7 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.concolic.expr import Constraint, LinearExpr
 from repro.solver import (Problem, Solver, check_assignment, dependent_slice,
-                          propagate, solve_incremental)
+                          propagate, simplify, solve_incremental)
+from repro.solver.incremental import SolveSession, _StemFrame
+
+from .golden import solver_counters
 
 
 def le(coeffs, const):
@@ -251,3 +257,188 @@ def test_solve_incremental_changed_propagates_through_equalities():
     assert res is not None
     assert res.assignment[0] == res.assignment[1] != 0
     assert res.changed == {0, 1}
+
+
+# ----------------------------------------------------------------------
+# SolveSession: stats, and the stem frame's prefix ladder ≡ plain
+# simplify, solve_at ≡ solve
+# ----------------------------------------------------------------------
+def _query():
+    """A small SAT query: x + y <= 10, negate x == 0."""
+    return ([le({0: 1, 1: 1}, -10)], ne({0: 1}, 0),
+            {0: (0, 100), 1: (0, 100)}, {0: 0, 1: 0})
+
+
+def test_session_solves_and_counts():
+    session = SolveSession()
+    cons, neg, dom, prev = _query()
+    res = session.solve(cons, neg, dom, prev)
+    assert res is not None and res.assignment[0] != 0
+    stats = session.stats
+    assert (stats.solves, stats.sat_solves, stats.unsat_solves) == (1, 1, 0)
+    assert stats.cache_hits == stats.unsat_hits == 0
+
+
+constraint_st = st.builds(
+    lambda coeffs, const, op: Constraint(LinearExpr(coeffs, const), op),
+    st.dictionaries(st.integers(0, 4), st.integers(-3, 3).filter(bool),
+                    min_size=1, max_size=3),
+    st.integers(-20, 20),
+    st.sampled_from(["<=", "<", "==", "!="]))
+
+#: one step of a prefix sequence: extend appends ``cons``, shrink keeps
+#: the first ``n`` constraints, swap keeps the first ``n`` then appends
+#: ``cons``; ``negated`` is the step's flipped branch
+prefix_step_st = st.tuples(st.sampled_from(["extend", "shrink", "swap"]),
+                           st.integers(0, 8),
+                           st.lists(constraint_st, min_size=1, max_size=3),
+                           constraint_st)
+
+
+def _prefixes(steps):
+    """Yield ``(prefix, negated)`` for each step of a prefix sequence."""
+    prefix: list = []
+    for op, n, cons, negated in steps:
+        if op == "extend":
+            prefix = prefix + cons
+        elif op == "shrink":
+            prefix = prefix[:n]
+        else:
+            prefix = prefix[:n] + cons
+        yield prefix, negated
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(constraint_st, max_size=8),
+       st.lists(prefix_step_st, max_size=8))
+def test_stem_ladder_matches_plain_simplify(stem, steps):
+    """Extending, shrinking and swapping the prefix: every ladder rung
+    is a fresh ``simplify`` of ``stem + prefix``."""
+    frame = _StemFrame(stem)
+    assert frame.context_at([]) == simplify(stem)
+    for prefix, _ in _prefixes(steps):
+        assert frame.context_at(prefix) == simplify(stem + prefix)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(constraint_st, max_size=6),
+       st.lists(prefix_step_st, min_size=1, max_size=6))
+def test_solve_at_matches_solve(stem, steps):
+    """``solve_at`` through the ladder and ``solve`` on the concatenated
+    context give the same result and the same solver counters, call by
+    call."""
+    domains = {v: (-30, 30) for v in range(5)}
+    previous = {v: 0 for v in range(5)}
+    laddered = SolveSession()
+    plain = SolveSession()
+    frame = laddered.stem(stem)
+    for prefix, negated in _prefixes(steps):
+        got = laddered.solve_at(frame, prefix, negated, domains, previous)
+        want = plain.solve(stem + prefix, negated, domains, previous)
+        assert got == want
+        assert solver_counters(laddered.stats) == solver_counters(
+            plain.stats)
+
+
+# ----------------------------------------------------------------------
+# SAT/UNSAT oracle: exhaustive enumeration of tiny problems
+# ----------------------------------------------------------------------
+#: node budget no problem below can reach, so a None is a real verdict
+ORACLE_NODE_LIMIT = 100_000
+
+
+@st.composite
+def tiny_problem_st(draw):
+    """1-3 variables with domains inside [-3, 3], 1-4 constraints over
+    ``<=``, ``==`` and ``!=``, and previous values inside the domains."""
+    nvars = draw(st.integers(1, 3))
+    domains = {}
+    for v in range(nvars):
+        lo, hi = sorted(draw(st.tuples(st.integers(-3, 3),
+                                       st.integers(-3, 3))))
+        domains[v] = (lo, hi)
+    constraints = draw(st.lists(st.builds(
+        lambda coeffs, const, op: Constraint(LinearExpr(coeffs, const), op),
+        st.dictionaries(st.integers(0, nvars - 1),
+                        st.integers(-3, 3).filter(bool), min_size=1),
+        st.integers(-6, 6),
+        st.sampled_from(["<=", "==", "!="])), min_size=1, max_size=4))
+    previous = {v: draw(st.integers(lo, hi))
+                for v, (lo, hi) in domains.items()}
+    return constraints, domains, previous
+
+
+def _holds(c: Constraint, a: dict[int, int]) -> bool:
+    value = c.lhs.const + sum(k * a[v] for v, k in c.lhs.coeffs.items())
+    return {"<=": value <= 0, "==": value == 0, "!=": value != 0}[c.op]
+
+
+def _exists_model(constraints, domains) -> bool:
+    """Whether any assignment over ``domains`` satisfies ``constraints``,
+    by enumerating every one."""
+    vids = sorted(domains)
+    for values in itertools.product(*(range(lo, hi + 1)
+                                      for lo, hi in
+                                      (domains[v] for v in vids))):
+        a = dict(zip(vids, values))
+        if all(_holds(c, a) for c in constraints):
+            return True
+    return False
+
+
+def _component(constraints, seed_vars):
+    """The constraints transitively sharing a variable with
+    ``seed_vars``, and their variables (what incremental solving
+    re-solves; the rest keep their previous values)."""
+    vids, picked = set(seed_vars), set()
+    while True:
+        grow = {i for i, c in enumerate(constraints)
+                if i not in picked and c.vars() & vids}
+        if not grow:
+            return [constraints[i] for i in sorted(picked)], vids
+        picked |= grow
+        for i in grow:
+            vids |= constraints[i].vars()
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiny_problem_st())
+def test_solver_oracle_model_iff_one_exists(problem):
+    """``Solver.solve`` returns a model exactly when enumeration finds
+    one, the model satisfies every constraint, and with an unreachable
+    node budget no give-up is ever reported as UNSAT."""
+    constraints, domains, previous = problem
+    solver = Solver(node_limit=ORACLE_NODE_LIMIT)
+    model = solver.solve(Problem(constraints=constraints, domains=domains,
+                                 previous=previous))
+    assert not solver.stats.exhausted
+    assert (model is not None) == _exists_model(constraints, domains)
+    if model is not None:
+        assert set(model) == set(domains)
+        assert all(lo <= model[v] <= hi for v, (lo, hi) in domains.items())
+        assert all(_holds(c, model) for c in constraints)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiny_problem_st(), st.integers(0, 3))
+def test_solve_at_oracle_model_iff_one_exists(problem, split):
+    """``SolveSession.solve_at`` on a stem frame: the last constraint is
+    the negation, the others are split into stem and prefix.  A result
+    comes back exactly when enumeration finds a model of the negation's
+    dependency slice, and the result satisfies that slice."""
+    constraints, domains, previous = problem
+    *context, negated = constraints
+    session = SolveSession(Solver(node_limit=ORACLE_NODE_LIMIT))
+    frame = session.stem(context[:split])
+    res = session.solve_at(frame, context[split:], negated, domains,
+                           previous)
+    assert not session.solver.stats.exhausted
+    sliced, vids = _component(constraints, negated.vars())
+    slice_domains = {v: domains[v] for v in vids}
+    assert (res is not None) == _exists_model(sliced, slice_domains)
+    if res is not None:
+        a = res.assignment
+        assert all(lo <= a[v] <= hi for v, (lo, hi) in domains.items())
+        assert all(_holds(c, a) for c in sliced)
+        assert {v: a[v] for v in domains if v not in vids} == \
+            {v: previous[v] for v in domains if v not in vids}
