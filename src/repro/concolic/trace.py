@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Any, Optional
@@ -160,6 +161,16 @@ class LightSink:
         lines += [f"f{fid}" for fid in sorted(self.coverage.functions)]
         return ("\n".join(lines) + "\n").encode()
 
+    def serialized_size(self) -> int:
+        """``len(self.serialize())``, without building the bytes."""
+        self.flush()
+        branches, functions = self.coverage.branches, self.coverage.functions
+        digits = (sum(len(str(s)) for s, _ in branches)
+                  + sum(len(str(fid)) for fid in functions))
+        # "<site>,<0|1>\n" per branch, "f<fid>\n" per function; a lone
+        # "\n" when there are neither
+        return digits + 3 * len(branches) + 2 * len(functions) or 1
+
 
 class HeavySink(LightSink):
     """Full concolic recorder for the focus rank (the ``ex1`` behaviour)."""
@@ -282,15 +293,26 @@ class HeavySink(LightSink):
             input_vids={n: v.vid for n, v in self._input_vars.items()},
         )
 
+    def _symbolic_lines(self) -> str:
+        """The ``var`` and ``pc`` lines of :meth:`serialize`."""
+        lines = [f"var {var.vid} {var.name} {var.kind} = "
+                 f"{self.values[var.vid]}\n" for var in self.vars]
+        lines += [f"pc {pe.site} {int(pe.outcome)} {pe.constraint!r}\n"
+                  for pe in self.path]
+        return "".join(lines)
+
     def serialize(self) -> bytes:
-        parts = [super().serialize()]
-        for var in self.vars:
-            parts.append(
-                f"var {var.vid} {var.name} {var.kind} = "
-                f"{self.values[var.vid]}\n".encode())
-        for pe in self.path:
-            parts.append(f"pc {pe.site} {int(pe.outcome)} {pe.constraint!r}\n".encode())
+        parts = [super().serialize(), self._symbolic_lines().encode()]
         if self.log_events:
             for s, d in self._event_log:
                 parts.append(f"ev {s} {int(d)}\n".encode())
         return b"".join(parts)
+
+    def serialized_size(self) -> int:
+        size = (super().serialized_size()
+                + len(self._symbolic_lines().encode()))
+        if self.log_events:
+            # "ev <site> <0|1>\n" per event
+            size += sum(n * (len(str(s)) + 6)
+                        for (s, _d), n in Counter(self._event_log).items())
+        return size

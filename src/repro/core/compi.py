@@ -382,15 +382,16 @@ class Compi:
     # ------------------------------------------------------------------
     # crash-safe resume
     # ------------------------------------------------------------------
-    def _write_checkpoint(self, log_path: Union[str, Path],
-                          elapsed: float) -> None:
+    def _write_checkpoint(self, log: Any, elapsed: float) -> None:
         from .persist import write_checkpoint  # local: persist imports us
         # portfolio campaigns checkpoint all arms (strategies, RNGs,
         # pendings, bandit) in one sub-dict; the legacy flat keys below
         # then describe the *active* arm, keeping old tooling readable
         portfolio_state = (self.scheduler.state_dict()
                            if hasattr(self.scheduler, "state_dict") else None)
-        write_checkpoint(log_path, {
+        write_checkpoint(log.path, {
+            # the log bytes this checkpoint covers (see reconcile_log)
+            "log_offset": log.offset,
             "portfolio": portfolio_state,
             "program": self.program.name,
             "config": dataclasses.asdict(self.config),
@@ -430,13 +431,18 @@ class Compi:
 
         Prefers the pickle checkpoint sidecar (exact state: search tree,
         solver, RNG streams — the continuation is byte-for-byte the run
-        the uninterrupted campaign would have produced).  Without one it
-        degrades to the JSONL log alone: coverage, bugs, iteration count
-        and elapsed time are restored, but the search restarts from fresh
-        random inputs.
+        the uninterrupted campaign would have produced); the log is first
+        cut back to the bytes that checkpoint covers.  Without a usable
+        checkpoint it degrades to the JSONL log alone: coverage, bugs,
+        iteration count and elapsed time are restored, but the search
+        restarts from fresh random inputs.
         """
-        from .persist import load_campaign, load_checkpoint
+        from .persist import load_campaign, load_checkpoint, reconcile_log
         state = load_checkpoint(log_path)
+        # ``state.get``: checkpoints from before the log-offset stamp
+        if state is not None and not reconcile_log(log_path,
+                                                   state.get("log_offset")):
+            state = None
         if state is not None:
             cfg = config or CompiConfig.from_dict(state["config"])
             # ``state.get``: pre-portfolio checkpoints simply lack the key
@@ -458,11 +464,12 @@ class Compi:
             if portfolio_state is not None:
                 # restores every arm (strategies + shared tree, RNGs,
                 # pendings, telemetry) and the bandit, bit-for-bit
-                self.scheduler.load_state(portfolio_state)
+                self.scheduler.load_state(portfolio_state, program)
             else:
                 self._caps = state["caps"]
                 self.rng = state["rng"]
                 self.strategy = state["strategy"]
+                self.strategy.attach(program)
                 self._next = state["next"]
                 self._expect = state["expect"]
                 self._restarts = state["restarts"]

@@ -35,12 +35,18 @@ Format: one JSON object per line, discriminated by ``"type"``:
 
 Exact-state resume additionally uses a pickle checkpoint *sidecar*
 (``<log>.ckpt``, written atomically): the JSONL log is the durable,
-human-readable record, while the checkpoint carries the full mutable
+human-readable record, while the checkpoint carries the mutable
 campaign state (search tree, solver, RNG streams) that JSONL cannot.
+Static program data (the site registry and graph the CFG strategy
+reads) is left out; resume re-attaches it from the live program.  Each
+checkpoint stamps the log's byte offset at the moment it was taken, so
+resume can drop records of an iteration the checkpoint never saw
+(:func:`reconcile_log`).
 
 The staged engine (:mod:`repro.engine`) drives both through a collector
-hook after every committed iteration, so killing a campaign and resuming
-reproduces the uninterrupted run exactly.
+hook after every committed iteration of a :attr:`CampaignLog.resumable`
+log, so killing a campaign and resuming reproduces the uninterrupted
+run exactly.
 """
 
 from __future__ import annotations
@@ -67,6 +73,10 @@ class CampaignLog:
     ``"w"`` (explicit overwrite) or ``"a"`` (append, for resume).
     """
 
+    #: whether a resume reads this log; the campaign refreshes its
+    #: checkpoint sidecar only for a log that is
+    resumable = True
+
     def __init__(self, path: Union[str, Path], mode: str = "x",
                  fsync_every: int = 32):
         if mode not in ("x", "w", "a"):
@@ -76,6 +86,8 @@ class CampaignLog:
         self.fsync_every = max(1, int(fsync_every))
         self._fh: Optional[TextIO] = None
         self._since_sync = 0
+        #: bytes in the file after the last record written
+        self.offset = 0
 
     def __enter__(self) -> "CampaignLog":
         if self.mode == "x" and self.path.exists():
@@ -85,6 +97,7 @@ class CampaignLog:
         open_mode = "a" if self.mode == "a" else "w"
         existed = self.path.exists()
         self._fh = self.path.open(open_mode, encoding="utf-8")
+        self.offset = self.path.stat().st_size if open_mode == "a" else 0
         if not existed:
             # make the new log's directory entry durable up front: a crash
             # right after open must not leave records in an unnamed file
@@ -107,8 +120,11 @@ class CampaignLog:
     def _write(self, obj: dict) -> None:
         if self._fh is None:
             raise RuntimeError("CampaignLog used outside its context")
-        self._fh.write(json.dumps(obj, sort_keys=True) + "\n")
+        # ``json.dumps`` escapes non-ASCII, so characters are bytes
+        line = json.dumps(obj, sort_keys=True) + "\n"
+        self._fh.write(line)
         self._fh.flush()
+        self.offset += len(line)
         self._since_sync += 1
         if self._since_sync >= self.fsync_every:
             self.sync()
@@ -306,6 +322,44 @@ def write_checkpoint(log_path: Union[str, Path], state: dict) -> Path:
     return atomic_write_bytes(
         checkpoint_path(log_path),
         pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def reconcile_log(log_path: Union[str, Path], offset: Optional[int]) -> bool:
+    """Cut the log back to the checkpoint that stamped ``offset``.
+
+    The collector writes an iteration's records before its checkpoint,
+    so a kill between the two leaves the log ahead of the checkpoint;
+    resume would append that iteration again.  Records past ``offset``
+    are dropped when they hold an ``iteration`` record, as is a torn
+    final line (appending after one would corrupt the log).  Anything
+    else past it (the summary records of a finished session) stays.
+
+    Returns False, with one line on stderr, when the log is shorter
+    than ``offset``: it lost a tail the checkpoint counted, so the
+    checkpoint is refused and the caller falls back to the JSONL log.
+    ``None`` (a checkpoint from before the stamp) accepts the log as is.
+    """
+    if offset is None:
+        return True
+    path = Path(log_path)
+    size = path.stat().st_size if path.exists() else 0
+    if size < offset:
+        print(f"checkpoint {checkpoint_path(path)} covers {offset} bytes of "
+              f"{path}, which holds {size}; falling back to the JSONL log",
+              file=sys.stderr)
+        return False
+    with path.open("rb") as fh:
+        fh.seek(offset)
+        tail = fh.read()
+    keep = tail.rfind(b"\n") + 1  # complete lines only
+    if any(json.loads(line).get("type") == "iteration"
+           for line in tail[:keep].splitlines()):
+        keep = 0
+    if keep < len(tail):
+        with path.open("r+b") as fh:
+            fh.truncate(offset + keep)
+            os.fsync(fh.fileno())
+    return True
 
 
 class _Discarded:

@@ -399,7 +399,7 @@ class TestRunner:
             # No_Fwk records the focus process only (§VI-E)
             coverage = sinks[focus].coverage.copy()
 
-        log_sizes = [len(s.serialize()) for s in sinks]
+        log_sizes = [s.serialized_size() for s in sinks]
         nonfocus = [n for r, n in enumerate(log_sizes) if r != focus]
 
         return RunRecord(

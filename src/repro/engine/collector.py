@@ -8,7 +8,9 @@ campaign log and refreshing the crash-safe checkpoint through a hook.
 The checkpoint hook is how resume stays exact: the checkpoint written
 after iteration *n* captures everything the next iteration depends on,
 so killing a campaign loses at most the uncommitted iteration, and a
-resume reproduces the uninterrupted run exactly.
+resume reproduces the uninterrupted run exactly.  It fires only for a
+log that a resume reads (:attr:`~repro.core.persist.CampaignLog.
+resumable`); a fleet shard's log is not one.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from ..supervise.triage import crash_signature
 from .executor import ExecOutcome
 from .scheduler import Candidate
 
-#: hook signature: (log_path, elapsed_seconds) -> None
+#: hook signature: (entered CampaignLog, elapsed_seconds) -> None
 CheckpointHook = Callable[[Any, float], None]
 
 
@@ -110,5 +112,5 @@ class Collector:
             if self.supervisor is not None:
                 for entry in self.supervisor.drain_new_quarantines():
                     self.log.write_quarantine(entry)
-            if self.checkpoint is not None:
-                self.checkpoint(self.log.path, it_rec.elapsed)
+            if self.checkpoint is not None and self.log.resumable:
+                self.checkpoint(self.log, it_rec.elapsed)

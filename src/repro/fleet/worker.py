@@ -24,6 +24,8 @@ Contract with the scheduler:
   attempt starts the log over, so a retried shard's log is always one
   attempt's coherent record, and a quarantined shard leaves the partial
   log of its final attempt for the results store);
+* the shard's campaign writes no checkpoint sidecar: the unit of fleet
+  resume is the shard, which re-runs from scratch;
 * every log record touches the shard's heartbeat file (reusing
   :class:`~repro.fleet.heartbeat.HeartbeatMonitor`), which is how the
   scheduler tells "slow but progressing" from "wedged";
@@ -58,7 +60,12 @@ EXIT_INTERNAL = 70
 
 
 class HeartbeatLog(CampaignLog):
-    """A campaign log whose every record doubles as a liveness signal."""
+    """A campaign log whose every record doubles as a liveness signal.
+
+    No resume reads a shard log: ``fleet resume`` re-runs an incomplete
+    shard from scratch, so its campaign writes no checkpoint sidecar."""
+
+    resumable = False
 
     def __init__(self, path, heartbeat_path: str, mode: str = "w"):
         super().__init__(path, mode=mode)

@@ -273,7 +273,9 @@ class PortfolioScheduler:
             } for a in self.arms],
         }
 
-    def load_state(self, state: dict) -> None:
+    def load_state(self, state: dict, program) -> None:
+        """Restore :meth:`state_dict`, re-attaching the static data of
+        the live ``program`` that checkpoints leave out."""
         names = [entry["name"] for entry in state["arms"]]
         ours = [a.name for a in self.arms]
         if names != ours:
@@ -287,6 +289,7 @@ class PortfolioScheduler:
         for arm, entry in zip(self.arms, state["arms"]):
             sched = arm.scheduler
             sched.strategy = entry["strategy"]
+            sched.strategy.attach(program)
             sched.rng = entry["rng"]
             sched.pending = entry["pending"]
             sched.restarts = entry["restarts"]

@@ -150,6 +150,10 @@ class SearchStrategy(ABC):
     def mark_infeasible(self, path: list[PathEntry], position: int) -> None:
         self.tree.mark_infeasible(path, position)
 
+    def attach(self, program) -> None:
+        """Re-attach static data of ``program`` after unpickling: a
+        checkpoint leaves out what the live program already holds."""
+
     @property
     def exhausted(self) -> bool:
         """True when the strategy knows it has nothing left to explore

@@ -32,8 +32,21 @@ class CfgDirectedSearch(SearchStrategy):
     def __init__(self, registry: SiteRegistry,
                  rng: Optional[np.random.Generator] = None, tree=None):
         super().__init__(rng, tree=tree)
+        self._bind(registry)
+
+    def _bind(self, registry: SiteRegistry) -> None:
         self.registry = registry
         self.graph = SiteGraph(registry)
+
+    def __getstate__(self) -> dict:
+        # the registry and its graph are static program data: checkpoints
+        # leave them out and resume re-attaches them (see attach)
+        state = dict(self.__dict__)
+        del state["registry"], state["graph"]
+        return state
+
+    def attach(self, program) -> None:
+        self._bind(program.registry)
 
     def propose(self, ctx: StrategyContext) -> Iterator[int]:
         if not ctx.path:

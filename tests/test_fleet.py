@@ -289,6 +289,26 @@ def test_fleet_run_completes_and_reports(tmp_path):
     assert fleet_report(root, echo=quiet) == 0
 
 
+def test_shards_write_no_checkpoint_sidecar(tmp_path):
+    """``fleet resume`` re-runs an incomplete shard from scratch, so no
+    shard campaign writes the ``.ckpt`` sidecar a campaign resume reads:
+    neither a real sweep nor a shard run inline."""
+    from repro.fleet.worker import execute_shard
+
+    d = spec_dict(matrix={"target": ["seq_demo"],
+                          "strategy": ["two-phase", "cfg"]})
+    root = tmp_path / "fleet"
+    assert fleet_run(write_spec(tmp_path, d), root, echo=quiet) == 0
+    inline_root = tmp_path / "inline"
+    spec = FleetSpec.from_dict(d)
+    with FleetManifest.create(fleet_paths(inline_root), spec):
+        for shard in spec.expand():
+            execute_shard(inline_root, shard)
+    for where in (root, inline_root):
+        assert len(list(where.rglob("*.jsonl"))) == 3  # manifest + 2 shards
+        assert list(where.rglob("*.ckpt")) == []
+
+
 def test_bad_spec_and_missing_fleet_exit_unrecoverable(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"fleet": "x", "matrix": {"target": ["nope"]}}')

@@ -343,6 +343,43 @@ def test_portfolio_resume_equals_uninterrupted(seq_program, tmp_path):
     assert _pf_det(resumed.portfolio) == _pf_det(full.portfolio)
 
 
+@pytest.mark.parametrize("with_static_data", [False, True],
+                         ids=["current", "static-data-pickled"])
+def test_cfg_arm_resumes_without_pickled_static_data(seq_program, tmp_path,
+                                                     monkeypatch,
+                                                     with_static_data):
+    """The cfg arm's checkpoint leaves out the site registry and graph;
+    ``load_state`` re-attaches them from the live program.  A checkpoint
+    that still carries them (as they were once pickled) resumes exactly
+    too.  Seed 1 pulls the cfg arm after the resume point."""
+    from repro.core.persist import checkpoint_path
+    from repro.search import CfgDirectedSearch
+
+    with Compi(seq_program, _cfg(seed=1)) as c:
+        full = c.run(iterations=12)
+
+    part_log = tmp_path / "part.jsonl"
+    with monkeypatch.context() as m:
+        if with_static_data:
+            m.delattr(CfgDirectedSearch, "__getstate__")
+        with Compi(seq_program, _cfg(seed=1)) as c, CampaignLog(part_log) as log:
+            c.run(iterations=5, log=log)
+    raw = checkpoint_path(part_log).read_bytes()
+    assert (b"SiteRegistry" in raw) == with_static_data
+    assert (b"SiteGraph" in raw) == with_static_data
+
+    with Compi.resume(seq_program, part_log) as resumed_c, \
+            CampaignLog(part_log, mode="a") as log:
+        (cfg_arm,) = [a for a in resumed_c.scheduler.arms if a.name == "cfg"]
+        assert cfg_arm.scheduler.strategy.registry is seq_program.registry
+        resumed = resumed_c.run(iterations=7, log=log)
+
+    assert "cfg" in [r.arm for r in resumed.iterations[5:]]
+    assert _proj(resumed) == _proj(full)
+    assert resumed.coverage.branches == full.coverage.branches
+    assert _pf_det(resumed.portfolio) == _pf_det(full.portfolio)
+
+
 def test_portfolio_degraded_jsonl_resume_still_runs(seq_program, tmp_path):
     """Without the checkpoint sidecar the portfolio campaign still
     resumes from the JSONL log (fresh arm state, resume-origin next)."""

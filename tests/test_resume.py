@@ -6,6 +6,7 @@ import sys
 import types
 from collections import OrderedDict
 
+import numpy as np
 import pytest
 
 from repro.core import Compi, CompiConfig
@@ -13,6 +14,7 @@ from repro.core.persist import (CampaignLog, checkpoint_path, load_campaign,
                                 load_checkpoint, read_records,
                                 write_checkpoint)
 from repro.instrument import instrument_program
+from repro.search import CfgDirectedSearch
 from repro.solver import SolverStats
 
 from .golden import solver_counters
@@ -59,6 +61,18 @@ def test_log_mode_w_overwrites_and_a_appends(tmp_path):
 def test_log_rejects_bad_mode(tmp_path):
     with pytest.raises(ValueError, match="mode"):
         CampaignLog(tmp_path / "c.jsonl", mode="r")
+
+
+def test_log_offset_counts_the_bytes_on_disk(tmp_path):
+    p = tmp_path / "c.jsonl"
+    with CampaignLog(p) as log:
+        assert log.offset == 0
+        log._write({"type": "x", "s": "caf\u00e9"})
+        assert log.offset == p.stat().st_size
+    with CampaignLog(p, mode="a") as log:
+        assert log.offset == p.stat().st_size
+        log._write({"type": "x", "n": 2})
+        assert log.offset == p.stat().st_size
 
 
 # ----------------------------------------------------------------------
@@ -278,6 +292,135 @@ def test_unreadable_checkpoint_is_reported_before_fallback(seq_program,
     assert str(sidecar) in err[0] and "Error" in err[0]
     assert resumed._iteration == 4       # restored from the JSONL log
     assert resumed._next.origin == "resume"
+
+
+class Killed(Exception):
+    """Stands in for a kill that lands inside ``write_checkpoint``."""
+
+
+def _stream(path):
+    """A log's committed-iteration records, minus wall-clock fields."""
+    return [{k: v for k, v in rec.items() if k not in ("wall_time", "elapsed")}
+            for rec in read_records(path)
+            if rec["type"] in ("iteration", "cov", "bug", "quarantine")]
+
+
+def test_kill_between_log_and_checkpoint_logs_each_iteration_once(
+        seq_program, tmp_path, monkeypatch):
+    """The collector writes an iteration's records before its checkpoint.
+    A kill between the two leaves the log one iteration ahead; resume
+    must drop that iteration's records before running it again."""
+    full_log = tmp_path / "full.jsonl"
+    with CampaignLog(full_log) as log:
+        Compi(seq_program, CFG).run(iterations=12, log=log)
+
+    write = write_checkpoint
+    calls = []
+
+    def dies_at_fifth(path, state):
+        calls.append(state["iteration"])
+        if len(calls) == 5:
+            raise Killed
+        return write(path, state)
+
+    p = tmp_path / "part.jsonl"
+    with monkeypatch.context() as m:
+        m.setattr("repro.core.persist.write_checkpoint", dies_at_fifth)
+        with pytest.raises(Killed), CampaignLog(p) as log:
+            Compi(seq_program, CFG).run(iterations=12, log=log)
+    assert [r["iteration"] for r in read_records(p)
+            if r["type"] == "iteration"] == [0, 1, 2, 3, 4]
+
+    resumed_c = Compi.resume(seq_program, p)
+    assert resumed_c._iteration == 4
+    with CampaignLog(p, mode="a") as log:
+        resumed_c.run(iterations=8, log=log)
+
+    indices = [r["iteration"] for r in read_records(p)
+               if r["type"] == "iteration"]
+    assert indices == list(range(12))
+    assert _stream(p) == _stream(full_log)
+
+
+def test_log_shorter_than_its_checkpoint_is_refused(seq_program, tmp_path,
+                                                   capsys):
+    """A log that lost a tail the checkpoint counted cannot be continued
+    from that checkpoint: resume says so once and uses the JSONL log."""
+    p = tmp_path / "c.jsonl"
+    with CampaignLog(p) as log:
+        Compi(seq_program, CFG).run(iterations=6, log=log)
+    lines = p.read_bytes().splitlines(keepends=True)
+    last = max(i for i, line in enumerate(lines)
+               if json.loads(line)["type"] == "iteration")
+    p.write_bytes(b"".join(lines[:last]))  # iteration 5 and after lost
+
+    resumed = Compi.resume(seq_program, p)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert str(checkpoint_path(p)) in err[0] and "JSONL" in err[0]
+    assert resumed._iteration == 5
+    assert resumed._next.origin == "resume"
+
+
+def test_resume_keeps_summary_records_and_drops_a_torn_tail(seq_program,
+                                                           tmp_path):
+    """Past the last checkpoint a finished campaign holds its summary
+    records; they stay.  A torn final line goes, so appended records
+    start on a line of their own."""
+    p = tmp_path / "c.jsonl"
+    with CampaignLog(p) as log:
+        Compi(seq_program, CFG).run(iterations=4, log=log)
+    finished = p.read_bytes()
+    with p.open("ab") as fh:
+        fh.write(b'{"arm": "", "covered_af')
+
+    resumed_c = Compi.resume(seq_program, p)
+    assert resumed_c._iteration == 4
+    assert p.read_bytes() == finished
+    with CampaignLog(p, mode="a") as log:
+        resumed_c.run(iterations=2, log=log)
+    data = load_campaign(p)
+    assert [r.iteration for r in data["iterations"]] == list(range(6))
+
+
+def _cfg_campaign(program):
+    return Compi(program, CFG, strategy=CfgDirectedSearch(
+        program.registry, rng=np.random.default_rng(11)))
+
+
+@pytest.mark.parametrize("with_static_data", [False, True],
+                         ids=["current", "static-data-pickled"])
+def test_cfg_campaign_resumes_exactly(seq_program, tmp_path, monkeypatch,
+                                      with_static_data):
+    """A single-strategy CFG campaign: its checkpoint leaves out the site
+    registry and graph, and resume re-attaches them from the program.
+    A checkpoint that still carries them (as they were once pickled)
+    resumes exactly too."""
+    full = _cfg_campaign(seq_program).run(iterations=12)
+
+    p = tmp_path / "part.jsonl"
+    with monkeypatch.context() as m:
+        if with_static_data:
+            m.delattr(CfgDirectedSearch, "__getstate__")
+        with CampaignLog(p) as log:
+            _cfg_campaign(seq_program).run(iterations=5, log=log)
+    raw = checkpoint_path(p).read_bytes()
+    assert (b"SiteRegistry" in raw) == with_static_data
+    assert (b"SiteGraph" in raw) == with_static_data
+
+    resumed_c = Compi.resume(seq_program, p)
+    assert type(resumed_c.strategy) is CfgDirectedSearch
+    assert resumed_c.strategy.registry is seq_program.registry
+    with CampaignLog(p, mode="a") as log:
+        resumed = resumed_c.run(iterations=7, log=log)
+
+    proj = lambda it: [(r.iteration, r.origin, r.nprocs, r.path_len,
+                        r.covered_after, r.error_kind, r.negated_site)
+                       for r in it]
+    assert proj(resumed.iterations) == proj(full.iterations)
+    assert resumed.coverage.branches == full.coverage.branches
+    assert _keys(resumed) == _keys(full)
+    assert solver_counters(resumed.solver) == solver_counters(full.solver)
 
 
 def test_streamed_log_equals_batch_save(seq_program, tmp_path):

@@ -419,6 +419,80 @@ def test_solver_oracle_model_iff_one_exists(problem):
         assert all(_holds(c, model) for c in constraints)
 
 
+#: the widest domain the solver's search enumerates value by value
+#: (wider ones are sampled, see ``Solver._candidates``)
+ENUMERATED_SPAN = 8
+
+
+@st.composite
+def planted_problem_st(draw):
+    """A satisfiable problem too large to enumerate: 1-8 variables with
+    domains of up to ``ENUMERATED_SPAN + 1`` values inside [-20, 20], and
+    1-6 constraints over ``<=``, ``==`` and ``!=`` that a planted
+    assignment satisfies.  Previous values are drawn independently of
+    the planted one."""
+    nvars = draw(st.integers(1, 8))
+    planted, domains = {}, {}
+    for v in range(nvars):
+        lo = draw(st.integers(-20, 20 - ENUMERATED_SPAN))
+        hi = lo + draw(st.integers(0, ENUMERATED_SPAN))
+        planted[v], domains[v] = draw(st.integers(lo, hi)), (lo, hi)
+    constraints = []
+    for _ in range(draw(st.integers(1, 6))):
+        coeffs = draw(st.dictionaries(st.integers(0, nvars - 1),
+                                      st.integers(-3, 3).filter(bool),
+                                      min_size=1))
+        value = sum(k * planted[v] for v, k in coeffs.items())
+        op = draw(st.sampled_from(["<=", "==", "!="]))
+        if op == "<=":
+            slack = -draw(st.integers(0, 10))
+        elif op == "==":
+            slack = 0
+        else:
+            slack = draw(st.integers(-10, 10).filter(bool))
+        constraints.append(Constraint(LinearExpr(coeffs, slack - value), op))
+    previous = {v: draw(st.integers(lo, hi))
+                for v, (lo, hi) in domains.items()}
+    return constraints, domains, previous, planted
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_problem_st(), st.integers(1, 40))
+def test_solver_never_gives_up_silently(problem, node_limit):
+    """Wider domains, more variables and a node budget the search often
+    runs out of: every problem here is satisfiable, so a ``None`` must
+    set ``exhausted`` (a give-up reported as UNSAT would mark a feasible
+    flip infeasible), and a model satisfies every constraint."""
+    constraints, domains, previous, planted = problem
+    assert all(_holds(c, planted) for c in constraints)
+    solver = Solver(node_limit=node_limit)
+    model = solver.solve(Problem(constraints=constraints, domains=domains,
+                                 previous=previous))
+    if model is None:
+        assert solver.stats.exhausted
+    else:
+        assert all(lo <= model[v] <= hi for v, (lo, hi) in domains.items())
+        assert all(_holds(c, model) for c in constraints)
+
+
+@pytest.mark.xfail(strict=True, reason="domains wider than ENUMERATED_SPAN "
+                   "are sampled, so the search can miss every model and "
+                   "report UNSAT without exhausting its budget")
+def test_solver_finds_a_model_in_sampled_domains():
+    """A satisfiable problem (model v0=0, v1=-1, v2=0, v3=-3) whose wide
+    domains the solver samples instead of enumerating."""
+    constraints = [le({0: -1}, 0), eq({0: 1, 1: 1, 2: -1, 3: -1}, -2),
+                   le({2: -2, 3: -3}, -10), le({0: 1, 1: 2, 2: 1, 3: 1}, 5),
+                   eq({1: 2, 2: -1, 3: 3}, 11)]
+    assert all(_holds(c, {0: 0, 1: -1, 2: 0, 3: -3}) for c in constraints)
+    solver = Solver(node_limit=ORACLE_NODE_LIMIT, sample_seed=0)
+    model = solver.solve(Problem(
+        constraints=constraints,
+        domains={0: (0, 0), 1: (-14, 0), 2: (-7, 4), 3: (-6, 3)},
+        previous={0: 0, 1: 0, 2: 0, 3: 0}))
+    assert model is not None or solver.stats.exhausted
+
+
 @settings(max_examples=300, deadline=None)
 @given(tiny_problem_st(), st.integers(0, 3))
 def test_solve_at_oracle_model_iff_one_exists(problem, split):

@@ -238,6 +238,38 @@ def test_heavy_log_includes_events_and_dwarfs_light_log():
     assert len(heavy.serialize()) > 20 * len(light.serialize())
 
 
+@pytest.mark.parametrize("sink_cls", [LightSink, HeavySink])
+def test_serialized_size_of_an_empty_sink(sink_cls):
+    s = sink_cls()
+    assert s.serialized_size() == len(s.serialize()) == 1
+
+
+@given(branches=st.lists(st.tuples(st.integers(-30, 2000), st.booleans()),
+                         max_size=60),
+       functions=st.sets(st.integers(0, 300)),
+       log_events=st.booleans(), bound=st.integers(0, 40))
+def test_serialized_size_equals_serialized_length(branches, functions,
+                                                  log_events, bound):
+    """The runner reads log sizes without building the bytes; the size
+    must match byte for byte, implicit (negative) sites, non-ASCII input
+    names and an unlogged event stream included."""
+    light = LightSink()
+    heavy = HeavySink(log_events=log_events)
+    for sink in (light, heavy):
+        for site, outcome in branches:
+            sink.on_branch(site, outcome)
+        for fid in functions:
+            sink.on_function(fid)
+    heavy.on_comm_rank(FakeComm(0, (0, 1), 1), 1)
+    with sink_scope(heavy):
+        x = heavy.mark_input("x\u00e9", 3)
+        i = 0
+        while x + i < bound:  # implicit sites with path constraints
+            i += 1
+    for sink in (light, heavy):
+        assert sink.serialized_size() == len(sink.serialize())
+
+
 def test_heavy_sink_stop_event_cancels_probe_stream():
     import threading
 
