@@ -20,15 +20,14 @@ When an execution yields no usable path (e.g. a bug fires before any
 symbolic branch) COMPI restarts from fresh random inputs, as the paper
 describes doing for SUSY-HMC's early bugs.
 
-:class:`Compi` is a façade: the loop itself lives in the staged engine
-(:mod:`repro.engine` — scheduler / executor / collector).  The campaign
-dataclasses stay in this module so existing pickled checkpoints keep
-loading.
+:class:`Compi` builds the campaign and hands it to the staged engine
+(:mod:`repro.engine` — scheduler / executor / collector), which runs
+the loop and owns its state.  The campaign dataclasses (bug and
+iteration records, the result) live here.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, Union
@@ -177,12 +176,13 @@ class CampaignResult:
 class Compi:
     """The testing tool: drives iterative concolic testing of one target.
 
-    A façade over the staged engine: the **scheduler** (search strategy +
-    incremental solve session), the **executor** (one in-process run,
-    or a sandboxed one under supervision) and the **collector**
-    (coverage, bugs, records, persistence).  Attribute access mirrors
-    the classic monolithic loop so embedding code, checkpoints and tests
-    written against it keep working unchanged.
+    Builds the staged engine's stages — the **scheduler** (search
+    strategy + incremental solve session), the **executor** (one
+    in-process run, or a sandboxed one under supervision) and the
+    **collector** (coverage, bugs, records, the log) — and runs or
+    resumes the campaign.  Campaign state lives in the stage that owns
+    it (``engine.iteration``, ``scheduler.pending``,
+    ``collector.coverage``, ...).
     """
 
     def __init__(self, program: InstrumentedProgram,
@@ -190,7 +190,7 @@ class Compi:
                  strategy: Optional[SearchStrategy] = None,
                  specs: Optional[dict[str, InputSpec]] = None):
         from ..engine import (CampaignEngine, Collector,
-                              Scheduler)  # façade ↔ engine cycle
+                              Scheduler)  # compi ↔ engine cycle
         from ..supervise import CampaignSupervisor, CrashTriage
         self.program = program
         self.config = config or CompiConfig()
@@ -201,7 +201,6 @@ class Compi:
         self.runner = TestRunner(program, cfg)
         initial = TestSetup(nprocs=min(cfg.init_nprocs, cfg.nprocs_cap),
                             focus=cfg.init_focus)
-        self._initial_setup = initial
         session = SolveSession(solver)
         if cfg.portfolio:
             if strategy is not None:
@@ -230,129 +229,11 @@ class Compi:
                 initial_setup=initial, fault_plan=self.runner.fault_plan)
         self.supervisor = CampaignSupervisor(cfg, self.runner)
         self.triage = CrashTriage(self.runner, self.specs, cfg, program.name)
-        self.collector = Collector(checkpoint=self._write_checkpoint,
-                                   supervisor=self.supervisor,
-                                   triage=self.triage)
+        self.collector = Collector(self.supervisor, self.triage)
         self.engine = CampaignEngine(program, cfg, self.scheduler,
                                      self.collector, self.runner,
-                                     supervisor=self.supervisor)
+                                     self.supervisor)
 
-    # ------------------------------------------------------------------
-    # classic-loop attribute surface (delegation into the stages)
-    # ------------------------------------------------------------------
-    @property
-    def rng(self) -> np.random.Generator:
-        return self.scheduler.rng
-
-    @rng.setter
-    def rng(self, value: np.random.Generator) -> None:
-        self.scheduler.rng = value
-
-    @property
-    def solver(self) -> Solver:
-        return self.scheduler.session.solver
-
-    @solver.setter
-    def solver(self, value: Solver) -> None:
-        self.scheduler.session.solver = value
-
-    @property
-    def solver_stats(self) -> SolverStats:
-        return self.scheduler.session.stats
-
-    @solver_stats.setter
-    def solver_stats(self, value: SolverStats) -> None:
-        self.scheduler.session.stats = value
-
-    @property
-    def strategy(self) -> SearchStrategy:
-        return self.scheduler.strategy
-
-    @strategy.setter
-    def strategy(self, value: SearchStrategy) -> None:
-        self.scheduler.strategy = value
-
-    @property
-    def coverage(self) -> CoverageMap:
-        return self.collector.coverage
-
-    @coverage.setter
-    def coverage(self, value: CoverageMap) -> None:
-        self.collector.coverage = value
-
-    @property
-    def bugs(self) -> list:
-        return self.collector.bugs
-
-    @bugs.setter
-    def bugs(self, value: list) -> None:
-        self.collector.bugs = value
-
-    @property
-    def records(self) -> list:
-        return self.collector.records
-
-    @records.setter
-    def records(self, value: list) -> None:
-        self.collector.records = value
-
-    @property
-    def _caps(self) -> dict[str, int]:
-        return self.scheduler.caps
-
-    @_caps.setter
-    def _caps(self, value: dict[str, int]) -> None:
-        self.scheduler.caps = value
-
-    @property
-    def _iteration(self) -> int:
-        return self.engine.iteration
-
-    @_iteration.setter
-    def _iteration(self, value: int) -> None:
-        self.engine.iteration = value
-
-    @property
-    def _restarts(self) -> int:
-        return self.scheduler.restarts
-
-    @_restarts.setter
-    def _restarts(self, value: int) -> None:
-        self.scheduler.restarts = value
-
-    @property
-    def _elapsed_prior(self) -> float:
-        return self.engine.elapsed_prior
-
-    @_elapsed_prior.setter
-    def _elapsed_prior(self, value: float) -> None:
-        self.engine.elapsed_prior = value
-
-    @property
-    def _next(self) -> TestCase:
-        return self.scheduler.pending.testcase
-
-    @_next.setter
-    def _next(self, value: TestCase) -> None:
-        self.scheduler.pending.testcase = value
-
-    @property
-    def _expect(self) -> Optional[tuple[list, int]]:
-        return self.scheduler.pending.expect
-
-    @_expect.setter
-    def _expect(self, value: Optional[tuple[list, int]]) -> None:
-        self.scheduler.pending.expect = value
-
-    @property
-    def _solver_fault_rng(self):
-        return self.scheduler.solver_fault_rng
-
-    @_solver_fault_rng.setter
-    def _solver_fault_rng(self, value) -> None:
-        self.scheduler.solver_fault_rng = value
-
-    # ------------------------------------------------------------------
     def run(self, iterations: Optional[int] = None,
             time_budget: Optional[float] = None,
             log: Optional[Any] = None) -> CampaignResult:
@@ -379,49 +260,6 @@ class Compi:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # ------------------------------------------------------------------
-    # crash-safe resume
-    # ------------------------------------------------------------------
-    def _write_checkpoint(self, log: Any, elapsed: float) -> None:
-        from .persist import write_checkpoint  # local: persist imports us
-        # portfolio campaigns checkpoint all arms (strategies, RNGs,
-        # pendings, bandit) in one sub-dict; the legacy flat keys below
-        # then describe the *active* arm, keeping old tooling readable
-        portfolio_state = (self.scheduler.state_dict()
-                           if hasattr(self.scheduler, "state_dict") else None)
-        write_checkpoint(log.path, {
-            # the log bytes this checkpoint covers (see reconcile_log)
-            "log_offset": log.offset,
-            "portfolio": portfolio_state,
-            "program": self.program.name,
-            "config": dataclasses.asdict(self.config),
-            "iteration": self._iteration,
-            "restarts": self._restarts,
-            "elapsed": elapsed,
-            "coverage": self.coverage,
-            "bugs": self.bugs,
-            "records": self.records,
-            "caps": self._caps,
-            "rng": self.rng,
-            "solver": self.solver,
-            "solver_stats": self.solver_stats,
-            "strategy": self.strategy,
-            "next": self._next,
-            "expect": self._expect,
-            "runner_ewma": self.runner._ewma,
-            "runner_runs": self.runner._runs,
-            "solver_fault_rng": self._solver_fault_rng,
-            # supervision: quarantine/kill state and the crash signatures
-            # that already have reproducer artifacts
-            "supervisor": self.supervisor.state_dict(),
-            "triage_seen": self.triage.state_dict(),
-            # schedule-space frontier (trees + pending prescriptions) so
-            # --resume continues the interleaving search bit-for-bit
-            "schedules": (self.scheduler.schedules.state_dict()
-                          if getattr(self.scheduler, "schedules", None)
-                          is not None else None),
-        })
-
     @classmethod
     def resume(cls, program: InstrumentedProgram,
                log_path: Union[str, Path],
@@ -433,84 +271,41 @@ class Compi:
         solver, RNG streams — the continuation is byte-for-byte the run
         the uninterrupted campaign would have produced); the log is first
         cut back to the bytes that checkpoint covers.  Without a usable
-        checkpoint it degrades to the JSONL log alone: coverage, bugs,
-        iteration count and elapsed time are restored, but the search
-        restarts from fresh random inputs.
+        checkpoint (absent, unreadable, or of another format) it degrades
+        to the JSONL log alone: coverage, bugs, iteration count and
+        elapsed time are restored, but the search restarts from fresh
+        random inputs.
         """
-        from .persist import load_campaign, load_checkpoint, reconcile_log
-        state = load_checkpoint(log_path)
-        # ``state.get``: checkpoints from before the log-offset stamp
-        if state is not None and not reconcile_log(log_path,
-                                                   state.get("log_offset")):
-            state = None
-        if state is not None:
-            cfg = config or CompiConfig.from_dict(state["config"])
-            # ``state.get``: pre-portfolio checkpoints simply lack the key
-            portfolio_state = state.get("portfolio")
-            if portfolio_state is None and cfg.portfolio:
-                # a pre-portfolio (or single-strategy) checkpoint has no
-                # arm state to restore — resume it as the single-strategy
-                # campaign it was, whatever the requested config says
-                cfg = dataclasses.replace(cfg, portfolio=())
-            self = cls(program, cfg, specs=specs)
-            self.coverage = state["coverage"]
-            self.bugs = state["bugs"]
-            self.records = state["records"]
-            self.solver = state["solver"]
-            # older checkpoints may lack the stats, and may carry the
-            # state of the retired counterexample cache, which is ignored
-            if "solver_stats" in state:
-                self.solver_stats = state["solver_stats"]
-            if portfolio_state is not None:
-                # restores every arm (strategies + shared tree, RNGs,
-                # pendings, telemetry) and the bandit, bit-for-bit
-                self.scheduler.load_state(portfolio_state, program)
-            else:
-                self._caps = state["caps"]
-                self.rng = state["rng"]
-                self.strategy = state["strategy"]
-                self.strategy.attach(program)
-                self._next = state["next"]
-                self._expect = state["expect"]
-                self._restarts = state["restarts"]
-            self._iteration = state["iteration"]
-            self._elapsed_prior = state["elapsed"]
-            self.runner._ewma = state["runner_ewma"]
-            self.runner._runs = state["runner_runs"]
-            self._solver_fault_rng = state["solver_fault_rng"]
-            # pre-supervision checkpoints simply have nothing to restore
-            self.supervisor.load_state(state.get("supervisor", {}))
-            self.triage.load_state(state.get("triage_seen", {}))
-            # ``state.get``: pre-schedule checkpoints lack the key
-            sched_state = state.get("schedules")
-            if (sched_state is not None
-                    and getattr(self.scheduler, "schedules", None)
-                    is not None):
-                self.scheduler.schedules.load_state(sched_state)
+        from .persist import load_campaign, resume_checkpoint
+        checkpoint = resume_checkpoint(log_path)
+        if checkpoint is not None:
+            self = cls(program,
+                       config or CompiConfig.from_dict(checkpoint["config"]),
+                       specs=specs)
+            self.engine.restore(checkpoint)
             return self
-        # degraded path: JSONL only (e.g. the checkpoint was lost or is
-        # from an incompatible version)
         data = load_campaign(log_path)
         if config is None and data["meta"] is not None:
             config = CompiConfig.from_dict(data["meta"]["config"])
         self = cls(program, config, specs=specs)
+        col = self.collector
         for site, outcome in data["cov_branches"]:
-            self.coverage.add_branch(site, outcome)
-        self.bugs = data["bugs"]
-        self.records = data["iterations"]
+            col.coverage.add_branch(site, outcome)
+        col.bugs = data["bugs"]
+        col.records = data["iterations"]
         # quarantine records are part of the log stream, so even the
         # degraded resume keeps honoring them; replaying the logged bug
         # signatures stops triage from re-minimizing known crashes
         from ..supervise import QuarantineEntry
         self.supervisor.load_entries(
             [QuarantineEntry.from_dict(d) for d in data["quarantine"]])
-        for bug in self.bugs:
+        for bug in col.bugs:
             if bug.signature:
                 self.triage.seen[bug.signature] = (
                     self.triage.seen.get(bug.signature, 0) + 1)
-        if self.records:
-            self._iteration = max(r.iteration for r in self.records) + 1
-            self._elapsed_prior = max(r.elapsed for r in self.records)
+        if col.records:
+            self.engine.iteration = max(r.iteration for r in col.records) + 1
+            self.engine.elapsed_prior = max(r.elapsed for r in col.records)
         # The in-flight test case is unrecoverable from JSONL.  Synthesize
         # a fresh continuation ("resume" origin) — NOT a restart: nothing
         # has executed since the log's last record, so the restart counter

@@ -37,16 +37,18 @@ Exact-state resume additionally uses a pickle checkpoint *sidecar*
 (``<log>.ckpt``, written atomically): the JSONL log is the durable,
 human-readable record, while the checkpoint carries the mutable
 campaign state (search tree, solver, RNG streams) that JSONL cannot.
-Static program data (the site registry and graph the CFG strategy
-reads) is left out; resume re-attaches it from the live program.  Each
-checkpoint stamps the log's byte offset at the moment it was taken, so
-resume can drop records of an iteration the checkpoint never saw
-(:func:`reconcile_log`).
+A checkpoint is one dict, stamped ``"format": CHECKPOINT_FORMAT``, whose
+``"state"`` holds each engine stage's ``state_dict``.  Static program
+data (the site registry and graph the CFG strategy reads) is left out;
+resume re-attaches it from the live program.  Each checkpoint stamps
+the log's byte offset at the moment it was taken, so resume can drop
+records of an iteration the checkpoint never saw (:func:`reconcile_log`).
 
-The staged engine (:mod:`repro.engine`) drives both through a collector
-hook after every committed iteration of a :attr:`CampaignLog.resumable`
-log, so killing a campaign and resuming reproduces the uninterrupted
-run exactly.
+The staged engine (:mod:`repro.engine`) writes the log and then the
+checkpoint after every committed iteration of a
+:attr:`CampaignLog.resumable` log, so killing a campaign and resuming
+reproduces the uninterrupted run exactly.  :func:`resume_checkpoint`
+refuses a checkpoint of any other format.
 """
 
 from __future__ import annotations
@@ -311,6 +313,11 @@ def checkpoint_path(log_path: Union[str, Path]) -> Path:
     return p.with_name(p.name + ".ckpt")
 
 
+#: the checkpoint layout this code writes and resumes from; a sidecar
+#: without this stamp is refused (resume falls back to the JSONL log)
+CHECKPOINT_FORMAT = 2
+
+
 def write_checkpoint(log_path: Union[str, Path], state: dict) -> Path:
     """Atomically persist campaign state next to the log.
 
@@ -324,63 +331,46 @@ def write_checkpoint(log_path: Union[str, Path], state: dict) -> Path:
         pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
 
 
-def reconcile_log(log_path: Union[str, Path], offset: Optional[int]) -> bool:
-    """Cut the log back to the checkpoint that stamped ``offset``.
+def reconcile_log(log_path: Union[str, Path],
+                  offset: Optional[int] = None) -> bool:
+    """Cut the log back to what a resume continues from.
 
-    The collector writes an iteration's records before its checkpoint,
-    so a kill between the two leaves the log ahead of the checkpoint;
-    resume would append that iteration again.  Records past ``offset``
-    are dropped when they hold an ``iteration`` record, as is a torn
-    final line (appending after one would corrupt the log).  Anything
-    else past it (the summary records of a finished session) stays.
+    The collector writes an iteration's records before the engine writes
+    its checkpoint, so a kill between the two leaves the log ahead of
+    the checkpoint; resume would append that iteration again.  Records
+    past the checkpoint's ``offset`` are dropped when they hold an
+    ``iteration`` record, as is a torn final line (appending after one
+    would corrupt the log).  Anything else past it (the summary records
+    of a finished session) stays.  Without an ``offset`` (the JSONL
+    fallback) only a torn final line is dropped.
 
     Returns False, with one line on stderr, when the log is shorter
     than ``offset``: it lost a tail the checkpoint counted, so the
     checkpoint is refused and the caller falls back to the JSONL log.
-    ``None`` (a checkpoint from before the stamp) accepts the log as is.
     """
-    if offset is None:
-        return True
     path = Path(log_path)
     size = path.stat().st_size if path.exists() else 0
-    if size < offset:
+    start = offset or 0
+    if size < start:
         print(f"checkpoint {checkpoint_path(path)} covers {offset} bytes of "
               f"{path}, which holds {size}; falling back to the JSONL log",
               file=sys.stderr)
         return False
+    if size == start:
+        return True
     with path.open("rb") as fh:
-        fh.seek(offset)
+        fh.seek(start)
         tail = fh.read()
     keep = tail.rfind(b"\n") + 1  # complete lines only
-    if any(json.loads(line).get("type") == "iteration"
-           for line in tail[:keep].splitlines()):
+    if offset is not None and any(
+            json.loads(line).get("type") == "iteration"
+            for line in tail[:keep].splitlines()):
         keep = 0
     if keep < len(tail):
         with path.open("r+b") as fh:
-            fh.truncate(offset + keep)
+            fh.truncate(start + keep)
             os.fsync(fh.fileno())
     return True
-
-
-class _Discarded:
-    """Unpickles an instance of a deleted class, dropping its state."""
-
-    def __setstate__(self, state) -> None:
-        pass
-
-
-#: modules older checkpoints name whose classes moved elsewhere
-_MOVED_MODULES = {"repro.solvercache.telemetry": "repro.solver.incremental"}
-#: deleted modules whose pickled instances are discarded on load (the
-#: counterexample cache and its entries)
-_DELETED_MODULES = {"repro.solvercache.cache"}
-
-
-class _CheckpointUnpickler(pickle.Unpickler):
-    def find_class(self, module: str, name: str):
-        if module in _DELETED_MODULES:
-            return _Discarded
-        return super().find_class(_MOVED_MODULES.get(module, module), name)
 
 
 def load_checkpoint(log_path: Union[str, Path]) -> Optional[dict]:
@@ -393,9 +383,30 @@ def load_checkpoint(log_path: Union[str, Path]) -> Optional[dict]:
         return None
     try:
         with target.open("rb") as fh:
-            return _CheckpointUnpickler(fh).load()
+            return pickle.load(fh)
     except Exception as exc:
         print(f"checkpoint {target} failed to load "
               f"({type(exc).__name__}: {exc}); falling back to the JSONL log",
               file=sys.stderr)
         return None
+
+
+def resume_checkpoint(log_path: Union[str, Path]) -> Optional[dict]:
+    """The checkpoint a resume continues from, with the log cut to match.
+
+    ``None`` sends the caller to the JSONL log: the sidecar is absent,
+    unreadable, of another :data:`CHECKPOINT_FORMAT`, or covers more of
+    the log than it holds.  Each refusal is one line on stderr.  Either
+    way the log is left ending on a complete record, ready to append to.
+    """
+    state = load_checkpoint(log_path)
+    found = state.get("format") if isinstance(state, dict) else None
+    if state is not None and found != CHECKPOINT_FORMAT:
+        print(f"checkpoint {checkpoint_path(log_path)} is stale (format "
+              f"{found!r}, expected {CHECKPOINT_FORMAT}); falling back to "
+              f"the JSONL log", file=sys.stderr)
+        state = None
+    if state is not None and reconcile_log(log_path, state["log_offset"]):
+        return state
+    reconcile_log(log_path)
+    return None

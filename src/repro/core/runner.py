@@ -234,6 +234,14 @@ class TestRunner:
         self._ewma: Optional[float] = None
         self._runs = 0
 
+    def state_dict(self) -> dict:
+        """Checkpoint slice: the timeout EWMA and the run counter."""
+        return {"ewma": self._ewma, "runs": self._runs}
+
+    def load_state(self, state: dict) -> None:
+        self._ewma = state["ewma"]
+        self._runs = state["runs"]
+
     def current_timeout(self) -> float:
         """Effective per-test timeout: adaptive (EWMA-derived) or flat."""
         cfg = self.config

@@ -1,8 +1,9 @@
 """Staged campaign engine: scheduler / executor / collector.
 
-The classic monolithic testing loop (``repro.core.compi.Compi``) is now
-a thin façade over this package.  See ``docs/ARCHITECTURE.md`` for the
-stage contracts.
+``repro.core.compi.Compi`` builds the stages and runs or resumes the
+campaign through :class:`CampaignEngine`, which owns them and writes
+the checkpoint from each stage's ``state_dict``.  See
+``docs/ARCHITECTURE.md`` for the stage contracts.
 """
 
 from .collector import Collector

@@ -1,30 +1,21 @@
-"""Collector stage: coverage merge, bug dedup, records, persistence.
+"""Collector stage: coverage merge, bug dedup, records, the log.
 
 The collector owns the campaign's *accumulated* state — the merged
-coverage map, the bug list, the per-iteration telemetry — and the
-persistence side effects: streaming each committed iteration to the
-campaign log and refreshing the crash-safe checkpoint through a hook.
-
-The checkpoint hook is how resume stays exact: the checkpoint written
-after iteration *n* captures everything the next iteration depends on,
-so killing a campaign loses at most the uncommitted iteration, and a
-resume reproduces the uninterrupted run exactly.  It fires only for a
-log that a resume reads (:attr:`~repro.core.persist.CampaignLog.
-resumable`); a fleet shard's log is not one.
+coverage map, the bug list, the per-iteration telemetry — and streams
+each committed iteration to the campaign log.  The engine refreshes
+the crash-safe checkpoint right after, from every stage's
+``state_dict``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from ..concolic.coverage import CoverageMap
 from ..core.compi import BugRecord, IterationRecord
 from ..supervise.triage import crash_signature
 from .executor import ExecOutcome
 from .scheduler import Candidate
-
-#: hook signature: (entered CampaignLog, elapsed_seconds) -> None
-CheckpointHook = Callable[[Any, float], None]
 
 
 class Collector:
@@ -38,16 +29,23 @@ class Collector:
     a resume.
     """
 
-    def __init__(self, checkpoint: Optional[CheckpointHook] = None,
-                 supervisor: Optional[Any] = None,
-                 triage: Optional[Any] = None):
+    def __init__(self, supervisor: Any, triage: Any):
         self.coverage = CoverageMap()
         self.bugs: list[BugRecord] = []
         self.records: list[IterationRecord] = []
-        self.checkpoint = checkpoint
         self.supervisor = supervisor
         self.triage = triage
         self.log: Optional[Any] = None  # an *entered* CampaignLog
+
+    def state_dict(self) -> dict:
+        """Checkpoint slice: everything the collector accumulated."""
+        return {"coverage": self.coverage, "bugs": self.bugs,
+                "records": self.records}
+
+    def load_state(self, state: dict) -> None:
+        self.coverage = state["coverage"]
+        self.bugs = state["bugs"]
+        self.records = state["records"]
 
     # ------------------------------------------------------------------
     def absorb(self, candidate: Candidate, outcome: ExecOutcome,
@@ -97,9 +95,9 @@ class Collector:
 
     def record(self, it_rec: IterationRecord, new_branches: set,
                bug: Optional[BugRecord]) -> None:
-        """Append + persist one committed iteration (log, delta, ckpt)."""
+        """Append + log one committed iteration (record, delta, bug)."""
         self.records.append(it_rec)
-        if bug is not None and self.triage is not None:
+        if bug is not None:
             # dedup + (first occurrence of a signature) minimize and
             # emit a reproducer artifact next to the log
             self.triage.on_bug(
@@ -109,8 +107,5 @@ class Collector:
             self.log.write_cov_delta(it_rec.iteration, sorted(new_branches))
             if bug is not None:
                 self.log.write_bug(bug)
-            if self.supervisor is not None:
-                for entry in self.supervisor.drain_new_quarantines():
-                    self.log.write_quarantine(entry)
-            if self.checkpoint is not None and self.log.resumable:
-                self.checkpoint(self.log, it_rec.elapsed)
+            for entry in self.supervisor.drain_new_quarantines():
+                self.log.write_quarantine(entry)

@@ -2,9 +2,10 @@
 
 One engine step executes the scheduler's pending candidate
 (:func:`~repro.engine.executor.execute`) and commits the outcome: the
-collector folds it into coverage, bugs, the iteration record, the log
-and the checkpoint; the scheduler folds it into caps, divergence and the
-execution tree, then derives the next pending candidate.  That is
+collector folds it into coverage, bugs, the iteration record and the
+log; the scheduler folds it into caps, divergence and the execution
+tree, then derives the next pending candidate; the engine then writes
+the checkpoint, one dict of every stage's ``state_dict``.  That is
 COMPI's serial loop (run, collect the path, negate one branch, solve,
 repeat); parallelism lives in the fleet, which runs independent seeds
 and strategy arms as separate shards.
@@ -12,9 +13,11 @@ and strategy arms as separate shards.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from typing import Any, Optional
 
+from ..core import persist
 from ..core.compi import CampaignResult
 from ..core.config import CompiConfig
 from ..core.runner import TestRunner
@@ -29,14 +32,14 @@ class CampaignEngine:
 
     def __init__(self, program: InstrumentedProgram, config: CompiConfig,
                  scheduler: Scheduler, collector: Collector,
-                 runner: TestRunner, supervisor: Optional[Any] = None):
+                 runner: TestRunner, supervisor: Any):
         self.program = program
         self.config = config
         self.scheduler = scheduler
         self.collector = collector
         self.runner = runner
         #: a :class:`~repro.supervise.sandbox.CampaignSupervisor` routes
-        #: sandboxed and quarantined runs (None = plain in-process runs)
+        #: sandboxed and quarantined runs
         self.supervisor = supervisor
         self.iteration = 0
         #: campaign wall-time accumulated by previous (resumed) sessions
@@ -110,23 +113,55 @@ class CampaignEngine:
         explorer = getattr(self.scheduler, "schedules", None)
         return explorer.telemetry() if explorer is not None else None
 
-    def _supervision_snapshot(self) -> Optional[dict]:
-        """Supervision + triage telemetry for the final report (None when
-        the collector carries neither — e.g. hand-built engines)."""
-        sup = getattr(self.collector, "supervisor", None)
-        tri = getattr(self.collector, "triage", None)
-        if sup is None and tri is None:
-            return None
-        snapshot: dict = {}
-        if sup is not None:
-            snapshot.update(sup.stats_snapshot().as_dict())
-        if tri is not None:
-            snapshot.update({
-                "unique_signatures": len(tri.seen),
-                "minimized_crashes": tri.minimized,
-                "minimize_probes": tri.probes_spent,
-            })
-        return snapshot
+    def _supervision_snapshot(self) -> dict:
+        """Supervision + triage telemetry for the final report."""
+        triage = self.collector.triage
+        return {**self.supervisor.stats_snapshot().as_dict(),
+                "unique_signatures": len(triage.seen),
+                "minimized_crashes": triage.minimized,
+                "minimize_probes": triage.probes_spent}
+
+    # ------------------------------------------------------------------
+    # checkpointing
+    # ------------------------------------------------------------------
+    def _write_checkpoint(self, log: Any, elapsed: float) -> None:
+        """Refresh ``log``'s sidecar with every stage's state.
+
+        One ``write_checkpoint`` call pickles the whole dict, so what
+        the stages share stays shared on resume: the portfolio arms'
+        execution tree and caps dict.
+        """
+        col = self.collector
+        persist.write_checkpoint(log.path, {
+            "format": persist.CHECKPOINT_FORMAT,
+            "program": self.program.name,
+            "config": dataclasses.asdict(self.config),
+            # the log bytes this checkpoint covers (see reconcile_log)
+            "log_offset": log.offset,
+            "elapsed": elapsed,
+            "state": {
+                "engine": {"iteration": self.iteration},
+                "scheduler": self.scheduler.state_dict(),
+                "session": self.scheduler.session.state_dict(),
+                "collector": col.state_dict(),
+                "runner": self.runner.state_dict(),
+                "supervisor": self.supervisor.state_dict(),
+                "triage": col.triage.state_dict(),
+            },
+        })
+
+    def restore(self, checkpoint: dict) -> None:
+        """Load a checkpoint :meth:`_write_checkpoint` wrote into every
+        stage; the next :meth:`run` continues bit-for-bit."""
+        state = checkpoint["state"]
+        self.iteration = state["engine"]["iteration"]
+        self.elapsed_prior = checkpoint["elapsed"]
+        self.scheduler.load_state(state["scheduler"], self.program)
+        self.scheduler.session.load_state(state["session"])
+        self.collector.load_state(state["collector"])
+        self.runner.load_state(state["runner"])
+        self.supervisor.load_state(state["supervisor"])
+        self.collector.triage.load_state(state["triage"])
 
     # ------------------------------------------------------------------
     def _commit(self, cand: Candidate, outcome, start: float) -> None:
@@ -151,3 +186,5 @@ class CampaignEngine:
             negated_site=nxt.testcase.negated_site)
         self.iteration += 1
         col.record(it_rec, new_branches, bug)
+        if col.log is not None and col.log.resumable:
+            self._write_checkpoint(col.log, it_rec.elapsed)

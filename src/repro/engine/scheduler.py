@@ -82,10 +82,35 @@ class Scheduler:
             random_testcase(self.specs, initial_setup, self.rng))
 
     # ------------------------------------------------------------------
-    @property
-    def solver_stats(self):
-        """Cumulative telemetry of the committed solve stream."""
-        return self.session.stats
+    # checkpointing
+    # ------------------------------------------------------------------
+    def state_dict(self) -> dict:
+        """Everything resume needs to continue the search bit-for-bit
+        (the solve session is checkpointed on its own: portfolio arms
+        share it)."""
+        return {
+            "caps": self.caps,
+            "rng": self.rng,
+            "strategy": self.strategy,
+            "pending": self.pending,
+            "restarts": self.restarts,
+            "solver_fault_rng": self.solver_fault_rng,
+            "schedules": (self.schedules.state_dict()
+                          if self.schedules is not None else None),
+        }
+
+    def load_state(self, state: dict, program) -> None:
+        """Restore :meth:`state_dict`, re-attaching the static data of
+        the live ``program`` that checkpoints leave out."""
+        self.caps = state["caps"]
+        self.rng = state["rng"]
+        self.strategy = state["strategy"]
+        self.strategy.attach(program)
+        self.pending = state["pending"]
+        self.restarts = state["restarts"]
+        self.solver_fault_rng = state["solver_fault_rng"]
+        if self.schedules is not None:
+            self.schedules.load_state(state["schedules"])
 
     # ------------------------------------------------------------------
     # observation: fold one committed execution into search state

@@ -1,11 +1,12 @@
 """PortfolioScheduler: N arm-schedulers multiplexed into one pipeline.
 
 The staged engine (:mod:`repro.engine`) talks to *a* scheduler through a
-narrow surface — ``pending``, ``observe``, ``advance``,
-``resume_candidate`` plus a handful of state attributes.  This module
-generalises the single-strategy :class:`~repro.engine.scheduler.Scheduler`
-to a **portfolio**: each arm keeps its own full ``Scheduler`` (strategy,
-campaign RNG, pending candidate), but all arms share
+narrow surface — ``pending``, ``strategy``, ``session``, ``observe``,
+``advance``, ``resume_candidate`` and the ``state_dict``/``load_state``
+checkpoint pair.  This module generalises the single-strategy
+:class:`~repro.engine.scheduler.Scheduler` to a **portfolio**: each arm
+keeps its own full ``Scheduler`` (strategy, campaign RNG, pending
+candidate), but all arms share
 
 * one :class:`~repro.search.base.ExecutionTree` (the frontier),
 * one :class:`~repro.solver.incremental.SolveSession` (solver + stem
@@ -112,14 +113,13 @@ class PortfolioScheduler:
         shared_caps: dict[str, int] = {}
         for a in self.arms:
             a.scheduler.caps = shared_caps
-        self._caps = shared_caps
         self._last_covered = 0
         self.active = self.bandit.select()
         for a in self.arms:
             a.scheduler.pending.arm = a.name
 
     # ------------------------------------------------------------------
-    # engine surface: state the engine / facade reads or writes
+    # engine surface: the active arm's pending candidate and strategy
     # ------------------------------------------------------------------
     @property
     def _active_arm(self) -> ArmState:
@@ -137,37 +137,6 @@ class PortfolioScheduler:
     @property
     def strategy(self):
         return self._active_arm.scheduler.strategy
-
-    @property
-    def rng(self):
-        return self._active_arm.scheduler.rng
-
-    @property
-    def caps(self) -> dict[str, int]:
-        return self._caps
-
-    @caps.setter
-    def caps(self, value: dict[str, int]) -> None:
-        # re-share: every arm must keep aliasing the same dict
-        self._caps = value
-        for a in self.arms:
-            a.scheduler.caps = value
-
-    @property
-    def restarts(self) -> int:
-        return sum(a.scheduler.restarts for a in self.arms)
-
-    @property
-    def solver_fault_rng(self):
-        return self._active_arm.scheduler.solver_fault_rng
-
-    @solver_fault_rng.setter
-    def solver_fault_rng(self, value) -> None:
-        self._active_arm.scheduler.solver_fault_rng = value
-
-    @property
-    def solver_stats(self):
-        return self.session.stats
 
     # ------------------------------------------------------------------
     # pipeline stages (commit order only)
@@ -251,26 +220,17 @@ class PortfolioScheduler:
     def state_dict(self) -> dict:
         """Everything resume needs to restore arm state bit-for-bit.
 
-        All arms are pickled inside *one* dict (alongside the bandit and
-        shared caps), so pickle preserves the identity of the shared
-        execution tree across the round-trip — the restored strategies
-        still point at one tree object.
+        Each arm contributes its scheduler's own state.  The checkpoint
+        pickles them in one call, so pickle preserves the identity of
+        what the arms share: the restored strategies still point at one
+        execution tree, and the arms at one caps dict.
         """
         return {
-            "version": 1,
             "active": self.active,
             "last_covered": self._last_covered,
-            "caps": self._caps,
             "bandit": self.bandit.state_dict(),
-            "arms": [{
-                "name": a.name,
-                "strategy": a.scheduler.strategy,
-                "rng": a.scheduler.rng,
-                "pending": a.scheduler.pending,
-                "restarts": a.scheduler.restarts,
-                "solver_fault_rng": a.scheduler.solver_fault_rng,
-                "stats": a.stats,
-            } for a in self.arms],
+            "arms": [{"name": a.name, "scheduler": a.scheduler.state_dict(),
+                      "stats": a.stats} for a in self.arms],
         }
 
     def load_state(self, state: dict, program) -> None:
@@ -285,15 +245,8 @@ class PortfolioScheduler:
         self.bandit.load_state(state["bandit"])
         self.active = state["active"]
         self._last_covered = state["last_covered"]
-        self.caps = state["caps"]  # setter re-shares across arms
         for arm, entry in zip(self.arms, state["arms"]):
-            sched = arm.scheduler
-            sched.strategy = entry["strategy"]
-            sched.strategy.attach(program)
-            sched.rng = entry["rng"]
-            sched.pending = entry["pending"]
-            sched.restarts = entry["restarts"]
-            sched.solver_fault_rng = entry["solver_fault_rng"]
+            arm.scheduler.load_state(entry["scheduler"], program)
             arm.stats = entry["stats"]
 
 

@@ -104,7 +104,7 @@ class ScheduleTree:
     @classmethod
     def from_state(cls, d: dict) -> "ScheduleTree":
         tree = cls(d["depth"])
-        tree.schedules_seen = int(d.get("seen", 0))
+        tree.schedules_seen = int(d["seen"])
         tree.root = _Node.load(d["root"])
         return tree
 
@@ -187,7 +187,7 @@ class ScheduleExplorer:
         self.budget = int(state["budget"])
         self.depth = int(state["depth"])
         self.launched = int(state["launched"])
-        self.divergences = int(state.get("divergences", 0))
+        self.divergences = int(state["divergences"])
         self._stack = [(tc, tuple(tuple(e) for e in p))
                        for tc, p in state["stack"]]
         self._trees = {k: ScheduleTree.from_state(d)

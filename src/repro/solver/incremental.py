@@ -134,12 +134,6 @@ class SolverStats:
     def avg_slice(self) -> float:
         return self.slice_constraints / self.solves if self.solves else 0.0
 
-    def __setstate__(self, state: dict) -> None:
-        # checkpoints from before the cache's removal also pickle its
-        # counters; keep only the fields this class still has
-        names = {f.name for f in fields(self)}
-        self.__dict__.update({k: v for k, v in state.items() if k in names})
-
     def snapshot(self) -> "SolverStats":
         """A detached copy (reports must not alias live counters)."""
         return SolverStats(**{f.name: getattr(self, f.name)
@@ -275,6 +269,15 @@ class SolveSession:
         self.solver = solver or Solver()
         self.stats = stats if stats is not None else SolverStats()
         self._frame: Optional[_StemFrame] = None
+
+    def state_dict(self) -> dict:
+        """Checkpoint slice: the solver and the cumulative stats (the
+        stem frame is a cache and is rebuilt on first use)."""
+        return {"solver": self.solver, "stats": self.stats}
+
+    def load_state(self, state: dict) -> None:
+        self.solver = state["solver"]
+        self.stats = state["stats"]
 
     def solve(self, constraints: list[Constraint], negated: Constraint,
               domains: Box,

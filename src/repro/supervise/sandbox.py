@@ -436,6 +436,6 @@ class CampaignSupervisor:
                 "quarantine": [e.as_dict() for e in self.quarantine.values()]}
 
     def load_state(self, state: dict) -> None:
-        self.kill_counts.update(state.get("kill_counts", {}))
+        self.kill_counts.update(state["kill_counts"])
         self.load_entries([QuarantineEntry.from_dict(d)
-                           for d in state.get("quarantine", [])])
+                           for d in state["quarantine"]])

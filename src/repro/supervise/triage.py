@@ -244,6 +244,6 @@ class CrashTriage:
                 "probes_spent": self.probes_spent}
 
     def load_state(self, state: dict) -> None:
-        self.seen.update(state.get("seen", {}))
-        self.minimized = state.get("minimized", self.minimized)
-        self.probes_spent = state.get("probes_spent", self.probes_spent)
+        self.seen.update(state["seen"])
+        self.minimized = state["minimized"]
+        self.probes_spent = state["probes_spent"]

@@ -117,9 +117,9 @@ def test_nr_variants_disable_reduction(demo_program):
     cfg = CompiConfig(seed=3)
     nr = make_variant(demo_program, "NRBound", cfg, depth_bound=100)
     assert nr.config.reduction is False
-    assert nr.strategy.depth_bound == 100
+    assert nr.scheduler.strategy.depth_bound == 100
     unl = make_variant(demo_program, "NRUnl", cfg)
-    assert unl.strategy.depth_bound is None
+    assert unl.scheduler.strategy.depth_bound is None
 
 
 def test_nofwk_and_oneway_flags(demo_program):

@@ -69,7 +69,7 @@ def test_checkpoint_with_retired_pool_keys_resumes_exactly(seq_program,
     write_checkpoint(log_path, state)
 
     resumed_c = Compi.resume(seq_program, log_path)
-    assert resumed_c._iteration == 5
+    assert resumed_c.engine.iteration == 5
     with resumed_c, CampaignLog(log_path, mode="a") as log:
         resumed = resumed_c.run(iterations=7, log=log)
 

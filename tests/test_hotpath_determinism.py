@@ -73,7 +73,7 @@ def test_persistent_session_across_resume(demo_program, tmp_path):
             first.run(iterations=5, log=log)
 
     resumed_c = Compi.resume(demo_program, part_log)
-    assert resumed_c._iteration == 5
+    assert resumed_c.engine.iteration == 5
     try:
         tap_runs(resumed_c, runs)
         with CampaignLog(part_log, mode="a") as log:

@@ -333,7 +333,7 @@ def test_portfolio_resume_equals_uninterrupted(seq_program, tmp_path):
             c.run(iterations=5, log=log)
 
     resumed_c = Compi.resume(seq_program, part_log)
-    assert resumed_c._iteration == 5
+    assert resumed_c.engine.iteration == 5
     with resumed_c:
         with CampaignLog(part_log, mode="a") as log:
             resumed = resumed_c.run(iterations=7, log=log)
@@ -341,6 +341,25 @@ def test_portfolio_resume_equals_uninterrupted(seq_program, tmp_path):
     assert _proj(resumed) == _proj(full)
     assert resumed.coverage.branches == full.coverage.branches
     assert _pf_det(resumed.portfolio) == _pf_det(full.portfolio)
+
+
+def test_portfolio_resume_keeps_shared_state_shared(seq_program, tmp_path):
+    """The arms share one execution tree, one caps dict and one solve
+    session; a resumed portfolio must too, or arms would stop seeing
+    each other's paths."""
+    p = tmp_path / "c.jsonl"
+    with Compi(seq_program, _cfg()) as c:
+        with CampaignLog(p) as log:
+            c.run(iterations=5, log=log)
+
+    with Compi.resume(seq_program, p) as resumed_c:
+        arms = [a.scheduler for a in resumed_c.scheduler.arms]
+        assert len(arms) > 1
+        assert len({id(s.strategy.tree) for s in arms}) == 1
+        assert len({id(s.caps) for s in arms}) == 1
+        assert {id(s.session) for s in arms} == \
+            {id(resumed_c.scheduler.session)}
+        assert arms[0].strategy.tree.paths_inserted > 0  # restored
 
 
 @pytest.mark.parametrize("with_static_data", [False, True],
@@ -394,8 +413,8 @@ def test_portfolio_degraded_jsonl_resume_still_runs(seq_program, tmp_path):
     checkpoint_path(p).unlink()
 
     resumed = Compi.resume(seq_program, p)
-    assert resumed._iteration == 6
-    assert resumed.coverage.covered_branches == \
+    assert resumed.engine.iteration == 6
+    assert resumed.collector.coverage.covered_branches == \
         first.coverage.covered_branches
     result = resumed.run(iterations=2)
     assert result.iterations[-2].origin == "resume"

@@ -15,7 +15,6 @@ from repro.core.persist import (CampaignLog, checkpoint_path, load_campaign,
                                 write_checkpoint)
 from repro.instrument import instrument_program
 from repro.search import CfgDirectedSearch
-from repro.solver import SolverStats
 
 from .golden import solver_counters
 
@@ -118,7 +117,7 @@ def test_resume_matches_uninterrupted_run(seq_program, tmp_path):
         Compi(seq_program, CFG).run(iterations=5, log=log)
 
     resumed_c = Compi.resume(seq_program, part_log)
-    assert resumed_c._iteration == 5
+    assert resumed_c.engine.iteration == 5
     with CampaignLog(part_log, mode="a") as log:
         resumed = resumed_c.run(iterations=7, log=log)
 
@@ -143,9 +142,9 @@ def test_resume_without_checkpoint_falls_back_to_jsonl(seq_program, tmp_path):
 
     resumed = Compi.resume(seq_program, p)
     # coverage, bugs and counters survive via the JSONL cov deltas
-    assert resumed.coverage.branches == first.coverage.branches
-    assert {b.dedup_key for b in resumed.bugs} == _keys(first)
-    assert resumed._iteration == 6
+    assert resumed.collector.coverage.branches == first.coverage.branches
+    assert {b.dedup_key for b in resumed.collector.bugs} == _keys(first)
+    assert resumed.engine.iteration == 6
     result = resumed.run(iterations=2)
     assert len(result.iterations) == 8
 
@@ -160,8 +159,8 @@ def test_jsonl_fallback_resume_is_not_a_restart(seq_program, tmp_path):
     checkpoint_path(p).unlink()
 
     resumed = Compi.resume(seq_program, p)
-    assert resumed._restarts == 0
-    assert resumed._next.origin == "resume"
+    assert resumed.scheduler.restarts == 0
+    assert resumed.scheduler.pending.testcase.origin == "resume"
     # the synthesized continuation is runnable
     result = resumed.run(iterations=1)
     assert result.iterations[-1].origin == "resume"
@@ -176,34 +175,104 @@ def test_resume_tolerates_torn_tail(seq_program, tmp_path):
     p.write_bytes(raw[:-15])  # crash mid-record
 
     resumed = Compi.resume(seq_program, p)
-    assert resumed._iteration >= 3
-    assert resumed.coverage.covered_branches > 0
+    assert resumed.engine.iteration >= 3
+    assert resumed.collector.coverage.covered_branches > 0
 
 
-def test_pre_portfolio_checkpoint_defaults_to_single_arm(seq_program,
-                                                         tmp_path):
-    """Checkpoints written before the portfolio subsystem have no
-    "portfolio" key; resume must fall back to a single-arm campaign
-    (like the pre-cache tolerance) even when the requested config asks
-    for a portfolio — there is no arm state to restore."""
-    from repro.engine import Scheduler
+def test_fallback_resume_drops_a_torn_tail_before_appending(seq_program,
+                                                            tmp_path):
+    """Without a checkpoint, resume continues from the JSONL log; a torn
+    final line must go before the resumed session appends to it."""
+    p = tmp_path / "c.jsonl"
+    with CampaignLog(p) as log:
+        Compi(seq_program, CFG.with_(seed=1)).run(iterations=4, log=log)
+    checkpoint_path(p).unlink()
+    p.write_bytes(p.read_bytes()[:-15])  # crash mid-record
 
+    resumed_c = Compi.resume(seq_program, p)
+    with CampaignLog(p, mode="a") as log:
+        resumed_c.run(iterations=2, log=log)
+    indices = [r.iteration for r in load_campaign(p)["iterations"]]
+    assert indices == list(range(6))
+
+
+def _parent_layout(checkpoint: dict) -> dict:
+    """A single-strategy ``checkpoint`` in the flat-key layout that was
+    written before the format stamp."""
+    state = checkpoint["state"]
+    sched, session = state["scheduler"], state["session"]
+    return {
+        "log_offset": checkpoint["log_offset"], "portfolio": None,
+        "program": checkpoint["program"], "config": checkpoint["config"],
+        "iteration": state["engine"]["iteration"],
+        "restarts": sched["restarts"], "elapsed": checkpoint["elapsed"],
+        **state["collector"],
+        "caps": sched["caps"], "rng": sched["rng"],
+        "solver": session["solver"], "solver_stats": session["stats"],
+        "strategy": sched["strategy"], "next": sched["pending"].testcase,
+        "expect": sched["pending"].expect,
+        "runner_ewma": state["runner"]["ewma"],
+        "runner_runs": state["runner"]["runs"],
+        "solver_fault_rng": sched["solver_fault_rng"],
+        "supervisor": state["supervisor"], "triage_seen": state["triage"],
+        "schedules": sched["schedules"],
+    }
+
+
+def _assert_refused(program, p, capsys, iterations, config=None):
+    """Resume refuses ``p``'s checkpoint with one stderr line naming the
+    sidecar, then continues through the JSONL log, logging each
+    iteration once."""
+    resumed_c = Compi.resume(program, p, config=config)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert str(checkpoint_path(p)) in err[0] and "JSONL" in err[0]
+    assert resumed_c.engine.iteration == iterations
+    assert resumed_c.scheduler.pending.testcase.origin == "resume"
+    with CampaignLog(p, mode="a") as log:
+        resumed_c.run(iterations=2, log=log)
+    assert [r.iteration for r in load_campaign(p)["iterations"]] == \
+        list(range(iterations + 2))
+    return resumed_c
+
+
+def test_parent_layout_checkpoint_is_refused(seq_program, tmp_path, capsys):
+    p = tmp_path / "c.jsonl"
+    with CampaignLog(p) as log:
+        Compi(seq_program, CFG).run(iterations=4, log=log)
+    write_checkpoint(p, _parent_layout(load_checkpoint(p)))
+    _assert_refused(seq_program, p, capsys, 4)
+
+
+@pytest.mark.parametrize("fmt", [1, 3, "2"])
+def test_checkpoint_of_unknown_format_is_refused(seq_program, tmp_path,
+                                                 capsys, fmt):
     p = tmp_path / "c.jsonl"
     with CampaignLog(p) as log:
         Compi(seq_program, CFG).run(iterations=4, log=log)
     state = load_checkpoint(p)
+    state["format"] = fmt
+    write_checkpoint(p, state)
+    _assert_refused(seq_program, p, capsys, 4)
+
+
+def test_pre_portfolio_checkpoint_is_refused(seq_program, tmp_path, capsys):
+    """Checkpoints written before the portfolio subsystem have neither
+    the "portfolio" key nor the format stamp: resume refuses them and
+    continues from the JSONL log, with the requested portfolio."""
+    from repro.portfolio import PortfolioScheduler
+
+    p = tmp_path / "c.jsonl"
+    with CampaignLog(p) as log:
+        Compi(seq_program, CFG).run(iterations=4, log=log)
+    state = _parent_layout(load_checkpoint(p))
     del state["portfolio"]  # what an old-version checkpoint looks like
     write_checkpoint(p, state)
 
     wants_portfolio = CFG.with_(portfolio=("dfs2", "bounded"))
-    resumed = Compi.resume(seq_program, p, config=wants_portfolio)
-    assert resumed.config.portfolio == ()
-    assert type(resumed.scheduler) is Scheduler
-    assert resumed._iteration == 4
-    result = resumed.run(iterations=2)
-    assert len(result.iterations) == 6
-    assert all(r.arm == "" for r in result.iterations)
-    assert result.portfolio is None
+    resumed = _assert_refused(seq_program, p, capsys, 4,
+                              config=wants_portfolio)
+    assert type(resumed.scheduler) is PortfolioScheduler
 
 
 def _retired_class(module: str, name: str) -> type:
@@ -214,18 +283,16 @@ def _retired_class(module: str, name: str) -> type:
     return cls
 
 
-def test_checkpoint_naming_retired_cache_classes_resumes_exactly(
+def test_checkpoint_naming_retired_cache_classes_is_refused(
         seq_program, tmp_path, monkeypatch, capsys):
     """Checkpoints written while the solver had a counterexample cache
     pickle ``repro.solvercache.*`` classes: the cache, its entries and
-    the session's SolverStats.  They still resume through the checkpoint,
-    not the JSONL fallback, and continue bit-for-bit."""
-    full = Compi(seq_program, CFG).run(iterations=12)
-
+    the session's SolverStats.  They no longer unpickle, so resume
+    refuses them and continues from the JSONL log."""
     p = tmp_path / "part.jsonl"
     with CampaignLog(p) as log:
         Compi(seq_program, CFG).run(iterations=5, log=log)
-    state = load_checkpoint(p)
+    state = _parent_layout(load_checkpoint(p))
     with monkeypatch.context() as m:
         modules = {}
         for name in ("repro.solvercache", "repro.solvercache.cache",
@@ -256,26 +323,7 @@ def test_checkpoint_naming_retired_cache_classes_resumes_exactly(
     assert b"repro.solvercache.cache" in raw
     assert b"repro.solvercache.telemetry" in raw
 
-    def no_fallback(path):
-        raise AssertionError("resume took the JSONL fallback")
-    monkeypatch.setattr("repro.core.persist.load_campaign", no_fallback)
-    resumed_c = Compi.resume(seq_program, p)
-    assert capsys.readouterr().err == ""
-    assert resumed_c._iteration == 5
-    restored = resumed_c.solver_stats
-    assert type(restored) is SolverStats
-    assert set(vars(restored)) == \
-        {f.name for f in dataclasses.fields(SolverStats)}
-    with CampaignLog(p, mode="a") as log:
-        resumed = resumed_c.run(iterations=7, log=log)
-
-    proj = lambda it: [(r.iteration, r.origin, r.nprocs, r.path_len,
-                        r.covered_after, r.error_kind, r.negated_site)
-                       for r in it]
-    assert proj(resumed.iterations) == proj(full.iterations)
-    assert resumed.coverage.branches == full.coverage.branches
-    assert _keys(resumed) == _keys(full)
-    assert solver_counters(resumed.solver) == solver_counters(full.solver)
+    _assert_refused(seq_program, p, capsys, 5)
 
 
 def test_unreadable_checkpoint_is_reported_before_fallback(seq_program,
@@ -290,8 +338,8 @@ def test_unreadable_checkpoint_is_reported_before_fallback(seq_program,
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert str(sidecar) in err[0] and "Error" in err[0]
-    assert resumed._iteration == 4       # restored from the JSONL log
-    assert resumed._next.origin == "resume"
+    assert resumed.engine.iteration == 4       # restored from the JSONL log
+    assert resumed.scheduler.pending.testcase.origin == "resume"
 
 
 class Killed(Exception):
@@ -318,7 +366,7 @@ def test_kill_between_log_and_checkpoint_logs_each_iteration_once(
     calls = []
 
     def dies_at_fifth(path, state):
-        calls.append(state["iteration"])
+        calls.append(state["state"]["engine"]["iteration"])
         if len(calls) == 5:
             raise Killed
         return write(path, state)
@@ -332,7 +380,7 @@ def test_kill_between_log_and_checkpoint_logs_each_iteration_once(
             if r["type"] == "iteration"] == [0, 1, 2, 3, 4]
 
     resumed_c = Compi.resume(seq_program, p)
-    assert resumed_c._iteration == 4
+    assert resumed_c.engine.iteration == 4
     with CampaignLog(p, mode="a") as log:
         resumed_c.run(iterations=8, log=log)
 
@@ -358,8 +406,8 @@ def test_log_shorter_than_its_checkpoint_is_refused(seq_program, tmp_path,
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert str(checkpoint_path(p)) in err[0] and "JSONL" in err[0]
-    assert resumed._iteration == 5
-    assert resumed._next.origin == "resume"
+    assert resumed.engine.iteration == 5
+    assert resumed.scheduler.pending.testcase.origin == "resume"
 
 
 def test_resume_keeps_summary_records_and_drops_a_torn_tail(seq_program,
@@ -375,7 +423,7 @@ def test_resume_keeps_summary_records_and_drops_a_torn_tail(seq_program,
         fh.write(b'{"arm": "", "covered_af')
 
     resumed_c = Compi.resume(seq_program, p)
-    assert resumed_c._iteration == 4
+    assert resumed_c.engine.iteration == 4
     assert p.read_bytes() == finished
     with CampaignLog(p, mode="a") as log:
         resumed_c.run(iterations=2, log=log)
@@ -409,8 +457,8 @@ def test_cfg_campaign_resumes_exactly(seq_program, tmp_path, monkeypatch,
     assert (b"SiteGraph" in raw) == with_static_data
 
     resumed_c = Compi.resume(seq_program, p)
-    assert type(resumed_c.strategy) is CfgDirectedSearch
-    assert resumed_c.strategy.registry is seq_program.registry
+    assert type(resumed_c.scheduler.strategy) is CfgDirectedSearch
+    assert resumed_c.scheduler.strategy.registry is seq_program.registry
     with CampaignLog(p, mode="a") as log:
         resumed = resumed_c.run(iterations=7, log=log)
 

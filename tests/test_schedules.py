@@ -7,8 +7,9 @@ import pytest
 
 from repro.core import Compi, CompiConfig
 from repro.core.conflicts import TestSetup
-from repro.core.persist import (CampaignLog, load_campaign, load_checkpoint,
-                                read_records, write_checkpoint)
+from repro.core.persist import (CampaignLog, checkpoint_path, load_campaign,
+                                load_checkpoint, read_records,
+                                write_checkpoint)
 from repro.core.runner import TestRunner
 from repro.core.testcase import TestCase
 from repro.instrument import instrument_program
@@ -278,19 +279,25 @@ def test_resume_continues_the_schedule_frontier(race_program, tmp_path):
     assert _normalized_log(part_log) == _normalized_log(full_log)
 
 
-def test_pre_schedule_checkpoint_resumes_with_empty_frontier(
-        race_program, tmp_path):
+def test_pre_schedule_checkpoint_is_refused(race_program, tmp_path,
+                                            capsys):
     """Checkpoints written before schedule exploration lack the
-    "schedules" key; resume must start an empty frontier, not crash."""
+    "schedules" key and the format stamp: resume refuses them and
+    starts an empty frontier from the JSONL log."""
     p = tmp_path / "c.jsonl"
     with CampaignLog(p) as log:
         with Compi(race_program, CFG) as c:
             c.run(iterations=3, log=log)
     state = load_checkpoint(p)
-    del state["schedules"]  # what an old-version checkpoint looks like
-    write_checkpoint(p, state)
+    # the flat-key layout from before the format stamp, minus "schedules"
+    flat = {k: v for k, v in state.items() if k not in ("format", "state")}
+    flat.update(state["state"]["collector"])
+    flat["iteration"] = state["state"]["engine"]["iteration"]
+    write_checkpoint(p, flat)
 
     resumed = Compi.resume(race_program, p)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and str(checkpoint_path(p)) in err[0]
     assert resumed.scheduler.schedules is not None
     assert resumed.scheduler.schedules.frontier_size() == 0
     with resumed:
