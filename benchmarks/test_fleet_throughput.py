@@ -1,37 +1,31 @@
 """Fleet throughput benchmark (not a paper artifact).
 
-Runs one small sweep four ways and records the fleet's overheads in
+Runs one small sweep three ways and records the fleet's overheads in
 ``benchmarks/out/BENCH_fleet.json``:
 
 * **serial baseline** — the same shard campaigns executed inline, one
-  after another, in this process (no scheduler, no worker spawns);
-* **fleet sweep** — the same shards through ``fleet run`` with 2
-  concurrent supervised workers (per-attempt process spawn, manifest
-  fsyncs, result publication);
-* **warm-pool sweep** — the same shards with ``--warm-pool 2``:
-  persistent ``workerd`` daemons reused across shards instead of one
-  process spawn per attempt;
+  after another, in this process (no scheduler, no daemons);
+* **fleet sweep** — the same shards through ``fleet run`` on 2 pool
+  daemons (``workerd``) reused across shards, with manifest fsyncs and
+  result publication;
 * **faulty fleet sweep** — the sweep plus a poison shard (the killer
-  target) that hard-kills its worker on every attempt, measuring what
+  target) that hard-kills its daemon on every attempt, measuring what
   retries + quarantine cost the healthy siblings.
 
-Plus a direct per-attempt measurement: the cold startup a disposable
-worker pays before any work (spawn → hello on a fresh daemon, i.e.
-interpreter + imports + spec load) versus a warm daemon's dispatch
+Plus a direct per-attempt measurement: a daemon's start-up (spawn →
+hello, i.e. interpreter + imports + spec load) versus its dispatch
 overhead (run → done roundtrip minus the same shard executed inline).
 
 Reported: shards/minute for each mode, scheduler overhead versus the
-serial baseline, the startup-overhead reduction of warm dispatch, and
-the retry/quarantine counts of the faulty sweep.
+serial baseline, daemon start-up against dispatch cost, and the
+retry/quarantine counts of the faulty sweep.
 
 Asserted contracts:
 
-* the fleet completes every healthy shard and its merged report sees
-  exactly the shard campaigns the serial baseline ran (same iteration
-  totals — the campaigns are deterministic);
-* the warm-pool sweep's merged report is byte-identical to the cold
-  fleet sweep's;
-* warm dispatch overhead is measurably below cold startup;
+* the fleet completes every healthy shard, and its merged report is
+  byte-identical to the serial baseline's (the campaigns are
+  deterministic);
+* dispatching onto a running daemon costs less than starting one;
 * the poison shard is quarantined after its retry budget while every
   healthy sibling still completes.
 """
@@ -71,37 +65,38 @@ def _write_spec(tmp_path, d, name):
 
 
 def _serial_baseline(tmp_path):
-    """Every shard campaign inline: the no-scheduler floor."""
+    """Every shard campaign inline: the no-scheduler floor, recorded in
+    a manifest so it merges into the reference report."""
     spec = FleetSpec.from_dict(SPEC)
     root = tmp_path / "serial"
-    fleet_paths(root).ensure()
-    t0 = time.monotonic()
-    total_iters = 0
-    for shard in spec.expand():
-        payload = execute_shard(root, shard)
-        total_iters += payload["summary"]["iterations"]
-    return time.monotonic() - t0, len(spec.expand()), total_iters
+    with FleetManifest.create(fleet_paths(root), spec) as manifest:
+        t0 = time.monotonic()
+        for shard in spec.expand():
+            payload = execute_shard(root, shard)
+            manifest.shard_start(shard.shard_id, 1, 0)
+            manifest.shard_done(shard.shard_id, 1, payload["summary"])
+        wall = time.monotonic() - t0
+    return wall, len(spec.expand()), merge_results(root, load_state(root))
 
 
-def _fleet_sweep(tmp_path, spec_dict, name, **run_kw):
+def _fleet_sweep(tmp_path, spec_dict, name):
     spec_path = _write_spec(tmp_path, spec_dict, f"{name}.json")
     root = tmp_path / name
     t0 = time.monotonic()
-    fleet_run(spec_path, root, echo=lambda _msg: None, **run_kw)
+    fleet_run(spec_path, root, echo=lambda _msg: None)
     wall = time.monotonic() - t0
     state = load_state(root)
     return wall, state, merge_results(root, state)
 
 
-def _pool_dispatch_overheads(tmp_path):
-    """Measure the per-attempt costs the warm pool trades against.
+def _daemon_costs(tmp_path):
+    """Measure what a daemon costs to start against what it costs to use.
 
-    * ``cold_startup_s`` — spawn → hello on a fresh ``workerd``: the
-      interpreter + import + spec-load bill every disposable worker
-      pays before its shard starts;
-    * ``warm_dispatch_overhead_s`` — a warm daemon's run → done
-      roundtrip for a 1-iteration shard, minus the same shard executed
-      inline (so only the protocol + scheduling slack remains).
+    * ``startup_s`` — spawn → hello on a fresh ``workerd``: the
+      interpreter + import + spec-load bill a daemon pays once;
+    * ``dispatch_overhead_s`` — a running daemon's run → done roundtrip
+      for a 1-iteration shard, minus the same shard executed inline (so
+      only the protocol + scheduling slack remains).
     """
     spec = FleetSpec.from_dict({
         "fleet": "bench-pool", "matrix": {"target": ["seq_demo"]},
@@ -116,20 +111,20 @@ def _pool_dispatch_overheads(tmp_path):
     execute_shard(inline_root, shard)
     inline_wall = time.monotonic() - t0
 
-    warm_root = tmp_path / "pool-warm"
-    paths = fleet_paths(warm_root)
+    daemon_root = tmp_path / "pool-daemon"
+    paths = fleet_paths(daemon_root)
     FleetManifest.create(paths, spec).close()
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
     t0 = time.monotonic()
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "fleet", "workerd",
-         "--dir", str(warm_root), "--worker", "0"],
+         "--dir", str(daemon_root), "--worker", "0"],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL, env=env)
     try:
         hello = read_frame(proc.stdout)
-        cold_startup = time.monotonic() - t0
+        startup = time.monotonic() - t0
         assert hello["type"] == "hello"
         # first shard warms the daemon's own caches; time the second
         for _ in range(2):
@@ -145,30 +140,24 @@ def _pool_dispatch_overheads(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait()
-    return cold_startup, max(roundtrip - inline_wall, 0.0)
+    return startup, max(roundtrip - inline_wall, 0.0)
 
 
 def test_fleet_throughput(once, tmp_path):
     def experiment():
-        serial_wall, n_shards, serial_iters = _serial_baseline(tmp_path)
+        serial_wall, n_shards, serial_report = _serial_baseline(tmp_path)
 
         fleet_wall, state, report = _fleet_sweep(tmp_path, SPEC, "fleet")
         counts = state.counts()
         assert counts[DONE] == n_shards, counts
-        # deterministic campaigns: fleet == serial, shard for shard
-        assert report.total_iterations == serial_iters
+        assert state.pool.spawns >= 1
+        # the determinism bar: the daemons ran exactly the serial shards
+        assert report_text(report) == report_text(serial_report)
 
-        warm_wall, w_state, w_report = _fleet_sweep(tmp_path, SPEC,
-                                                    "warm", warm_pool=2)
-        assert w_state.counts()[DONE] == n_shards
-        # the warm-pool determinism bar: byte-identical to cold spawn
-        assert report_text(w_report) == report_text(report)
-        assert w_state.pool.spawns >= 1
-
-        cold_startup, warm_overhead = _pool_dispatch_overheads(tmp_path)
-        # the whole point of the pool: dispatching onto a warm daemon
-        # must cost less than standing up a cold process
-        assert warm_overhead < cold_startup
+        startup, dispatch = _daemon_costs(tmp_path)
+        # the whole point of the pool: dispatching onto a running daemon
+        # must cost less than standing one up
+        assert dispatch < startup
 
         faulty = dict(SPEC, fleet="bench-faulty")
         faulty["matrix"] = dict(SPEC["matrix"],
@@ -195,18 +184,14 @@ def test_fleet_throughput(once, tmp_path):
                 "wall_s": round(fleet_wall, 3),
                 "shards_per_min": round(60 * n_shards / fleet_wall, 2),
                 "overhead_vs_serial": round(fleet_wall / serial_wall, 2),
+                "daemons_spawned": state.pool.spawns,
+                "report_byte_identical_to_serial": True,
             },
-            "warm_pool": {
-                "warm_workers": 2,
-                "wall_s": round(warm_wall, 3),
-                "shards_per_min": round(60 * n_shards / warm_wall, 2),
-                "overhead_vs_serial": round(warm_wall / serial_wall, 2),
-                "daemons_spawned": w_state.pool.spawns,
-                "report_byte_identical_to_cold": True,
-                "cold_startup_s": round(cold_startup, 3),
-                "warm_dispatch_overhead_s": round(warm_overhead, 4),
-                "startup_overhead_reduction": round(
-                    cold_startup / max(warm_overhead, 1e-4), 1),
+            "daemon": {
+                "startup_s": round(startup, 3),
+                "dispatch_overhead_s": round(dispatch, 4),
+                "startup_over_dispatch": round(
+                    startup / max(dispatch, 1e-4), 1),
             },
             "faulty_fleet": {
                 "shards": len(f_state.shard_ids()),
@@ -229,10 +214,6 @@ def test_fleet_throughput(once, tmp_path):
         ["fleet", data["fleet"]["workers"], data["fleet"]["wall_s"],
          data["fleet"]["shards_per_min"],
          f'{data["fleet"]["overhead_vs_serial"]}x', "-"],
-        ["fleet --warm-pool 2", data["warm_pool"]["warm_workers"],
-         data["warm_pool"]["wall_s"],
-         data["warm_pool"]["shards_per_min"],
-         f'{data["warm_pool"]["overhead_vs_serial"]}x', "-"],
         ["fleet + poison shard", data["fleet"]["workers"],
          data["faulty_fleet"]["wall_s"], "-",
          f'{data["faulty_fleet"]["retries"]} retries',
@@ -242,8 +223,8 @@ def test_fleet_throughput(once, tmp_path):
         ["mode", "workers", "wall s", "shards/min", "overhead", "poison"],
         rows, title=f"fleet throughput ({data['shards']} shards x "
                     f"{ITERS} iterations)")
-    pool = data["warm_pool"]
+    daemon = data["daemon"]
     print(f"\n{table}\n"
-          f"per-attempt: cold startup {pool['cold_startup_s']}s vs warm "
-          f"dispatch overhead {pool['warm_dispatch_overhead_s']}s "
-          f"({pool['startup_overhead_reduction']}x reduction)\n")
+          f"per daemon: start-up {daemon['startup_s']}s vs dispatch "
+          f"overhead {daemon['dispatch_overhead_s']}s "
+          f"({daemon['startup_over_dispatch']}x)\n")

@@ -423,21 +423,6 @@ def cmd_triage(args: argparse.Namespace) -> int:
     return 1
 
 
-def _add_pool_flags(p: argparse.ArgumentParser) -> None:
-    """Warm-pool overrides shared by `fleet run` and `fleet resume`."""
-    p.add_argument("--warm-pool", type=int, default=None, metavar="N",
-                   help="keep N persistent warm workers instead of "
-                        "spawning one process per shard attempt "
-                        "(default: spec's pool.warm, 0 = disabled)")
-    p.add_argument("--pool-recycle-tasks", type=int, default=None,
-                   metavar="K",
-                   help="recycle each warm worker after K shards "
-                        "(default: spec's pool.recycle_tasks)")
-    p.add_argument("--pool-max-rss", type=int, default=None, metavar="MB",
-                   help="recycle a warm worker whose RSS self-check "
-                        "exceeds MB (default: spec's pool.max_rss_mb)")
-
-
 def cmd_fleet(args: argparse.Namespace) -> int:
     """`fleet` subcommand group: declarative sharded campaign sweeps."""
     from .fleet import service
@@ -445,26 +430,17 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     if args.fleet_command == "run":
         return service.fleet_run(args.spec, args.dir, workers=args.workers,
                                  overwrite=args.force,
-                                 stop_after_shards=args.stop_after,
-                                 warm_pool=args.warm_pool,
-                                 pool_recycle_tasks=args.pool_recycle_tasks,
-                                 pool_max_rss=args.pool_max_rss)
+                                 stop_after_shards=args.stop_after)
     if args.fleet_command == "resume":
         return service.fleet_resume(args.dir, workers=args.workers,
-                                    stop_after_shards=args.stop_after,
-                                    warm_pool=args.warm_pool,
-                                    pool_recycle_tasks=args.pool_recycle_tasks,
-                                    pool_max_rss=args.pool_max_rss)
+                                    stop_after_shards=args.stop_after)
     if args.fleet_command == "status":
         return service.fleet_status(args.dir)
     if args.fleet_command == "report":
         return service.fleet_report(args.dir, as_json=args.json,
                                     with_coverage=args.coverage)
-    if args.fleet_command == "workerd":
-        # internal: one persistent warm-pool daemon (see fleet/pool.py)
-        return service.fleet_workerd(args.dir, args.worker)
-    # worker: internal per-shard entry, dispatched by the scheduler
-    return service.fleet_worker(args.dir, args.shard)
+    # workerd: internal, one persistent pool daemon (see fleet/pool.py)
+    return service.fleet_workerd(args.dir, args.worker)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -567,21 +543,21 @@ def main(argv: list[str] | None = None) -> int:
     p_fr.add_argument("--dir", required=True, metavar="DIR",
                       help="fleet state directory (manifest + shard logs)")
     p_fr.add_argument("--workers", type=int, default=None,
-                      help="concurrent shard workers (default: spec's)")
+                      help="shards run at once, one pool daemon each "
+                           "(default: spec's)")
     p_fr.add_argument("--force", action="store_true",
                       help="replace an existing sweep in --dir")
     p_fr.add_argument("--stop-after", type=int, default=None,
                       help=argparse.SUPPRESS)  # test hook: die mid-sweep
-    _add_pool_flags(p_fr)
 
     p_fres = fleet_sub.add_parser(
         "resume", help="continue a killed sweep (incomplete shards only)")
     p_fres.add_argument("dir", help="fleet state directory")
     p_fres.add_argument("--workers", type=int, default=None,
-                        help="concurrent shard workers (default: spec's)")
+                        help="shards run at once, one pool daemon each "
+                             "(default: spec's)")
     p_fres.add_argument("--stop-after", type=int, default=None,
                         help=argparse.SUPPRESS)
-    _add_pool_flags(p_fres)
 
     p_fst = fleet_sub.add_parser(
         "status", help="show shard statuses, attempts, and failures")
@@ -596,11 +572,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="include the per-target branch-coverage "
                              "union across shards")
 
-    p_fw = fleet_sub.add_parser("worker")  # internal: one shard attempt
-    p_fw.add_argument("--dir", required=True)
-    p_fw.add_argument("--shard", required=True)
-
-    p_fwd = fleet_sub.add_parser("workerd")  # internal: warm-pool daemon
+    p_fwd = fleet_sub.add_parser("workerd")  # internal: pool daemon
     p_fwd.add_argument("--dir", required=True)
     p_fwd.add_argument("--worker", type=int, required=True)
 

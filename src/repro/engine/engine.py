@@ -27,6 +27,11 @@ from .executor import execute
 from .scheduler import Candidate, Scheduler
 
 
+def _scheduler_layout(arms: list) -> str:
+    return (f"a portfolio scheduler (arms {', '.join(arms)})" if arms
+            else "a single-strategy scheduler")
+
+
 class CampaignEngine:
     """Drives one campaign through the three pluggable stages."""
 
@@ -152,8 +157,17 @@ class CampaignEngine:
 
     def restore(self, checkpoint: dict) -> None:
         """Load a checkpoint :meth:`_write_checkpoint` wrote into every
-        stage; the next :meth:`run` continues bit-for-bit."""
+        stage; the next :meth:`run` continues bit-for-bit.
+
+        Raises ``ValueError`` when the checkpoint's scheduler layout
+        (single strategy or portfolio) is not the configured one."""
         state = checkpoint["state"]
+        saved = [arm["name"] for arm in state["scheduler"].get("arms", ())]
+        ours = [arm.name for arm in getattr(self.scheduler, "arms", ())]
+        if bool(saved) != bool(ours):
+            raise ValueError(
+                f"checkpoint holds {_scheduler_layout(saved)} state, but "
+                f"the resume config asks for {_scheduler_layout(ours)}")
         self.iteration = state["engine"]["iteration"]
         self.elapsed_prior = checkpoint["elapsed"]
         self.scheduler.load_state(state["scheduler"], self.program)

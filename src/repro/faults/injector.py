@@ -12,7 +12,10 @@ Hook points (wired into the substrate, all no-ops without an injector):
   corrupt; counts as an MPI call of the *sender*)
 * ``Mailbox.receive``   → :meth:`FaultInjector.on_call`
 * ``CollectiveEngine.run`` → :meth:`on_call` + :meth:`on_collective`
-* ``Compi._derive_next``   → :meth:`solver_timeout`
+
+The solver-timeout fault is not drawn here: the engine's
+``Scheduler._solver_timed_out`` draws it from its own
+``solver_fault_rng`` stream, once per iteration.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import time
 from typing import Any, Optional
 
 from .plan import (FAULT_CORRUPT, FAULT_CRASH, FAULT_DELAY, FAULT_DROP,
-                   FAULT_JITTER, FAULT_SOLVER_TIMEOUT, FaultPlan)
+                   FAULT_JITTER, FaultPlan)
 
 
 class InjectedFault(Exception):
@@ -130,14 +133,6 @@ class FaultInjector:
         rng = self._fire(FAULT_DELAY, rank)
         if rng is not None:
             time.sleep(self.plan.spec_for(FAULT_DELAY).magnitude)
-
-    def solver_timeout(self) -> bool:
-        """Should this iteration's constraint solve pretend to time out?
-
-        Drawn from a dedicated stream (pseudo-rank ``-2``) so it cannot
-        desynchronize the per-rank message streams.
-        """
-        return self._fire(FAULT_SOLVER_TIMEOUT, -2) is not None
 
     # ------------------------------------------------------------------
     def calls_made(self, rank: int) -> int:

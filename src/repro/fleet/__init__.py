@@ -13,16 +13,16 @@ the sweep level:
   events (same discipline as the PR-1 campaign log, via
   :mod:`repro.core.atomicio`), so ``repro fleet resume`` continues a
   killed sweep exactly where it died;
-* :mod:`repro.fleet.worker` — the shard worker: one campaign in one
-  disposable child process, rlimit-capped and heartbeat-instrumented,
-  so a hard-dying shard can never take the sweep down with it;
-* :mod:`repro.fleet.pool` — the warm pool: long-lived worker daemons
-  reused across shards over a length-prefixed JSON pipe protocol, with
+* :mod:`repro.fleet.worker` — the shard worker daemon: runs one shard
+  campaign at a time, rlimit-capped and heartbeat-instrumented, so a
+  hard-dying shard takes down its own daemon, never the sweep;
+* :mod:`repro.fleet.pool` — the worker pool: long-lived daemons reused
+  across shards over a length-prefixed JSON pipe protocol, with
   per-shard leases, recycling (task budget / RSS growth), graceful
-  drain on SIGTERM, and a circuit breaker that degrades the sweep back
-  to disposable cold spawns when the pool itself misbehaves;
-* :mod:`repro.fleet.scheduler` — the async fleet scheduler: dispatches
-  shards across a bounded pool of supervised worker processes with
+  drain on SIGTERM, and a circuit breaker that stops the sweep
+  resumably when the pool itself misbehaves;
+* :mod:`repro.fleet.scheduler` — the async fleet scheduler: leases
+  shards to a bounded pool of supervised worker daemons with
   per-shard failure policy — bounded retries with exponential backoff
   and jitter, distinct ``shard-crash`` / ``shard-timeout`` /
   ``shard-oom`` outcomes, and poison-shard quarantine after the retry
@@ -31,7 +31,8 @@ the sweep level:
   shards' JSONL campaign logs into one deterministic aggregate report
   (identical regardless of merge order, interruption, or retries);
 * :mod:`repro.fleet.service` — the CLI-facing façade
-  (``repro fleet run|resume|status|report``).
+  (``repro fleet run|resume|status|report``, and the internal
+  ``workerd`` daemon entry).
 """
 
 from .manifest import (FleetManifest, FleetState, PoolState, ShardState,

@@ -6,17 +6,20 @@ per-record fsync — the same discipline as the PR-1 campaign log, at the
 fleet level.  Record types, discriminated by ``"type"``:
 
 * ``fleet-meta``        — spec snapshot + expanded shard IDs (first line)
-* ``shard-start``       — one attempt dispatched (shard, attempt, pid;
-  plus ``pool_worker`` when the attempt ran on a warm worker)
+* ``shard-start``       — one attempt dispatched (shard, attempt, pid,
+  and the ``pool_worker`` daemon it is leased to; a manifest written by
+  an older sweep that spawned one process per attempt has no
+  ``pool_worker``, and resumes all the same)
 * ``shard-done``        — attempt completed; deterministic summary
 * ``shard-fail``        — attempt failed: ``shard-crash`` /
   ``shard-timeout`` / ``shard-oom`` / ``shard-error``
 * ``shard-quarantine``  — retry budget exhausted; the shard is poisoned
-* ``pool-spawn``        — one warm worker daemon came up (worker, pid)
-* ``pool-exit``         — a warm worker left the pool: ``recycle`` /
+* ``pool-spawn``        — one worker daemon came up (worker, pid)
+* ``pool-exit``         — a daemon left the pool: ``recycle`` /
   ``drain`` / ``crash`` / ``kill`` / ``spawn-failed``
-* ``pool-breaker``      — the pool circuit breaker opened; every later
-  attempt of this sweep cold-spawns
+* ``pool-breaker``      — the pool circuit breaker opened; that session
+  dispatched no further attempt and left its untouched shards pending
+  for ``repro fleet resume``, which starts a fresh pool
 
 Crash semantics: a sweep killed at any instruction leaves a readable
 manifest — the reader tolerates a torn final line, and every record is
@@ -25,7 +28,7 @@ only skipped on resume if its ``shard-done``/``shard-quarantine`` made
 it to disk).  A ``shard-start`` without a matching terminal record
 marks an attempt that was in flight when the fleet died: resume counts
 it as never having happened (it produced no verdict) and re-runs the
-shard, after killing any orphaned worker the dead fleet left behind.
+shard, after killing any orphaned daemon the dead fleet left behind.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ PENDING = "pending"
 DONE = "done"
 QUARANTINED = "quarantined"
 
-#: reasons a warm worker leaves the pool (``pool-exit`` records)
+#: reasons a daemon leaves the pool (``pool-exit`` records)
 POOL_RECYCLE = "recycle"
 POOL_DRAIN = "drain"
 POOL_CRASH = "crash"
@@ -87,9 +90,6 @@ class FleetPaths:
 
     def shard_result(self, shard_id: str) -> Path:
         return self.shards / f"{shard_id}.result.json"
-
-    def shard_output(self, shard_id: str) -> Path:
-        return self.shards / f"{shard_id}.output"
 
     @property
     def pool(self) -> Path:
@@ -173,7 +173,7 @@ class FleetManifest:
                      "failures": failures, "kind": kind, "detail": detail,
                      "ts": time.time()})
 
-    # -- warm-pool lifecycle (see repro.fleet.pool) --------------------
+    # -- worker-pool lifecycle (see repro.fleet.pool) ------------------
 
     def pool_spawn(self, worker: int, pid: int) -> None:
         self._write({"type": "pool-spawn", "worker": worker, "pid": pid,
@@ -226,7 +226,7 @@ class ShardState:
 
 @dataclass
 class PoolState:
-    """Everything the manifest knows about the sweep's warm pool."""
+    """Everything the manifest knows about the sweep's worker pool."""
 
     #: workers ever spawned (pool-spawn records)
     spawns: int = 0
@@ -235,9 +235,11 @@ class PoolState:
     #: worker id → pid of workers with a spawn but no exit record —
     #: alive in a running sweep, orphans of a dead one
     live: dict = field(default_factory=dict)
-    #: shard ids currently leased to a warm worker (open shard-starts
+    #: shard ids currently leased to a daemon (open shard-starts
     #: carrying a ``pool_worker`` field)
     leased: list = field(default_factory=list)
+    #: the last session's breaker opened and no later session has
+    #: spawned a daemon since
     breaker_open: bool = False
 
     @property
@@ -273,8 +275,8 @@ class FleetState:
 
     def orphan_pids(self) -> list[int]:
         """Pids a dead fleet may have left running: in-flight attempt
-        workers plus live warm-pool daemons (deduplicated — a leased
-        warm worker appears in both ledgers)."""
+        workers plus live pool daemons (deduplicated — a leased daemon
+        appears in both ledgers)."""
         pids = [pid for sid in self.shard_ids()
                 for pid in self.shards[sid].inflight_pids]
         pids += list(self.pool.live.values())
@@ -308,6 +310,9 @@ def load_state(root: Union[str, Path]) -> FleetState:
         elif kind == "pool-spawn":
             pool.spawns += 1
             pool.live[obj["worker"]] = obj.get("pid", 0)
+            # an open breaker leases nothing more: a spawn after it is
+            # a resumed session's fresh pool
+            pool.breaker_open = False
         elif kind == "pool-exit":
             reason = obj.get("reason", "?")
             pool.exits[reason] = pool.exits.get(reason, 0) + 1

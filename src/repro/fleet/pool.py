@@ -1,41 +1,40 @@
-"""The warm worker pool: persistent shard workers with supervised leases.
+"""The worker pool: persistent shard daemons with supervised leases.
 
-PR 6's fleet pays a fresh ``repro fleet worker`` process — roughly a
-second of interpreter startup and imports — for *every shard attempt*.
-This module keeps a pool of long-lived ``repro fleet workerd`` daemons
-alive across shards instead, talking to each over a length-prefixed
-JSON request/response protocol on its stdin/stdout pipe.
+Every fleet shard attempt runs on a long-lived ``repro fleet workerd``
+daemon, leased for one shard at a time over a length-prefixed JSON
+request/response protocol on the daemon's stdin/stdout pipe.  A daemon
+pays its interpreter start-up and imports once, not once per attempt.
 
-Warm reuse is only sound because a shard campaign is a pure function of
-its spec plus the fleet directory (:func:`~repro.fleet.worker
+Reuse is only sound because a shard campaign is a pure function of its
+spec plus the fleet directory (:func:`~repro.fleet.worker
 .execute_shard` re-instruments its target per shard and unloads it
 after, and the instrumentation contract guarantees identical site
-registries across loads — the serial benchmark baseline has always run
-shards back-to-back in one process and matched the fleet).  The
-determinism bar is therefore absolute: a warm-pool sweep's merged
-report must be byte-identical to a cold-spawn sweep of the same spec.
+registries across loads).  The determinism bar is therefore absolute: a
+sweep's merged report must be byte-identical to the same shards run
+inline, one after another, through ``execute_shard``.
 
-Robustness is the core of the design, ported up from the PR-5
+Robustness is the core of the design, ported up from the run-level
 supervision layer:
 
-* **leases** — a shard dispatched to a warm worker holds a lease; the
-  scheduler supervises it with the same deadline + heartbeat-wedge
-  machinery as cold workers, and an expired lease SIGKILLs the worker
-  and reclassifies the shard with the existing ``shard-timeout`` /
-  ``shard-crash`` kinds, to be retried on a fresh worker;
-* **recycling** — a worker is retired after ``pool.recycle_tasks``
+* **leases** — a shard dispatched to a daemon holds a lease; the
+  scheduler supervises it with a deadline and the heartbeat wedge
+  detector, and an expired lease SIGKILLs the daemon and classifies the
+  shard ``shard-timeout`` (a death under the lease is ``shard-crash``),
+  to be retried on a fresh daemon;
+* **recycling** — a daemon is retired after ``pool.recycle_tasks``
   shards or when its post-shard RSS self-check exceeds
   ``pool.max_rss_mb`` (state-leak hygiene), and after any failed shard;
-* **graceful drain** — workers finish the in-flight shard, publish its
+* **graceful drain** — daemons finish the in-flight shard, publish its
   ``result.json`` atomically, and exit 0 on SIGTERM/SIGINT or an
   ``exit`` frame;
 * **circuit breaker** — repeated *pool* failures (spawn/handshake
-  failures, idle worker deaths, protocol violations — a worker dying
-  under a lease is the shard's failure, not the pool's) permanently
-  degrade the sweep to the existing cold-spawn path;
+  failures, idle daemon deaths, protocol violations — a daemon dying
+  under a lease is the shard's failure, not the pool's) open the
+  breaker: the pool leases nothing more, the scheduler stops
+  dispatching, and ``repro fleet resume`` continues on a fresh pool;
 * **resume safety** — every spawn/exit/breaker transition is a
-  manifest record, so ``repro fleet resume`` SIGKILLs orphaned warm
-  workers exactly as it kills orphaned cold workers.
+  manifest record, so ``repro fleet resume`` SIGKILLs the daemons a
+  dead fleet left running.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from .manifest import (FleetManifest, FleetPaths, POOL_CRASH, POOL_DRAIN,
 from .spec import PoolPolicy
 
 #: protocol version exchanged in the ``hello`` handshake; a daemon
-#: speaking a different version is a pool failure (degrade, don't guess)
+#: speaking a different version is a pool failure (refuse, don't guess)
 PROTO_VERSION = 1
 
 #: hard cap on one frame's payload — a corrupted length prefix must not
@@ -152,13 +151,14 @@ class WarmPool:
     The scheduler asks for a worker per attempt (:meth:`try_acquire`),
     runs the shard over the worker's pipe, and hands the worker back
     (:meth:`release`) or reports its death (:meth:`reap`).  The pool
-    decides spawning, recycling, and — after repeated pool-level
-    failures — opening the circuit breaker, which permanently sends
-    every later attempt down the cold-spawn path.
+    holds at most ``policy.warm`` live daemons and decides spawning,
+    recycling, and — after repeated pool-level failures — opening the
+    circuit breaker, after which it leases nothing for the rest of the
+    session.
     """
 
     #: spawn-retry suppression window after a failed spawn, seconds
-    #: (attempts inside it go cold; the breaker handles repetition)
+    #: (attempts wait it out; the breaker handles repetition)
     SPAWN_BACKOFF_S = 1.0
 
     def __init__(self, paths: FleetPaths, policy: PoolPolicy,
@@ -186,11 +186,12 @@ class WarmPool:
     # acquire / release
 
     async def try_acquire(self) -> Optional[WarmWorker]:
-        """An idle warm worker, a freshly spawned one, or ``None``.
+        """An idle worker, a freshly spawned one, or ``None``.
 
-        ``None`` means "use the cold path for this attempt": the
-        breaker is open, the pool is closed or at capacity, or a spawn
-        just failed (counted toward the breaker).
+        ``None`` means no worker for now: the breaker is open, the pool
+        is closed or at capacity, or a spawn failed (counted toward the
+        breaker) or is inside its backoff window.  The caller asks again
+        unless :meth:`available` turned false.
         """
         if self.breaker_open or self._closed:
             return None
@@ -203,7 +204,7 @@ class WarmPool:
             await self._reap_dead(worker, POOL_CRASH)
             self._pool_failure(f"idle worker {worker.wid} "
                                f"(pid {worker.pid}) died")
-        if len(self._live) >= max(1, self.policy.warm):
+        if len(self._live) >= self.policy.warm:
             return None
         loop = asyncio.get_running_loop()
         if loop.time() < self._spawn_backoff_until:
@@ -307,7 +308,7 @@ class WarmPool:
         self.spawned += 1
         if self.manifest is not None:
             self.manifest.pool_spawn(wid, proc.pid)
-        self.echo(f"  pool: spawned warm worker {wid} (pid {proc.pid})")
+        self.echo(f"  pool: spawned worker {wid} (pid {proc.pid})")
         return worker
 
     async def _retire(self, worker: WarmWorker, reason: str) -> None:
@@ -348,8 +349,9 @@ class WarmPool:
             self.breaker_open = True
             if self.manifest is not None:
                 self.manifest.pool_breaker(self._failures, detail)
-            self.echo("  pool: circuit breaker OPEN — degrading to cold "
-                      "spawn for the rest of the sweep")
+            self.echo("  pool: circuit breaker OPEN — no further "
+                      "dispatch; `repro fleet resume` continues on a "
+                      "fresh pool")
 
     # ------------------------------------------------------------------
     async def close(self) -> None:
@@ -364,7 +366,7 @@ class WarmPool:
                 await self._reap_dead(worker, POOL_CRASH)
         self._idle.clear()
         # anything still live was leased when the sweep stopped — a
-        # warm worker must never outlive its scheduler (it would race
+        # daemon must never outlive its scheduler (it would race
         # the next resume for shard logs, like any orphan)
         for worker in list(self._live.values()):
             await self.reap(worker, POOL_KILL)
@@ -391,7 +393,7 @@ class _StreamWriterFile:
 
 
 def send_request(worker: WarmWorker, obj: dict) -> None:
-    """Send one request frame to a warm worker (scheduler side).
+    """Send one request frame to a pool worker (scheduler side).
 
     Raises ``OSError`` when the pipe is already closed — the caller
     treats that exactly like a worker death at lease start.

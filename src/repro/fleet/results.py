@@ -246,12 +246,11 @@ def status_text(state: FleetState) -> str:
         lines.append(f"in-flight/orphaned worker pids: "
                      f"{sorted(orphans)}")
     pool = state.pool
-    if pool.spawns or state.spec.pool.warm:
-        breaker = "OPEN (degraded to cold spawn)" if pool.breaker_open \
-            else "closed"
-        lines.append(f"pool: {pool.alive} alive, {len(pool.leased)} "
-                     f"leased, {pool.spawns} spawned, {pool.recycled} "
-                     f"recycled, breaker {breaker}")
-        if pool.leased:
-            lines.append(f"pool leases: {', '.join(pool.leased)}")
+    breaker = "OPEN (sweep stopped; resume starts a fresh pool)" \
+        if pool.breaker_open else "closed"
+    lines.append(f"pool: {pool.alive} alive, {len(pool.leased)} "
+                 f"leased, {pool.spawns} spawned, {pool.recycled} "
+                 f"recycled, breaker {breaker}")
+    if pool.leased:
+        lines.append(f"pool leases: {', '.join(pool.leased)}")
     return "\n".join(lines) + "\n"

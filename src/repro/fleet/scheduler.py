@@ -2,27 +2,32 @@
 backoff, and quarantine.
 
 One :class:`FleetScheduler` drives one sweep session (fresh or resumed).
-Shards run as disposable worker processes (``repro fleet worker``) — or,
-with a warm pool configured (``--warm-pool`` / spec ``pool.warm``), as
-**leases** on persistent ``repro fleet workerd`` daemons (see
-:mod:`repro.fleet.pool`) — at most ``spec.workers`` concurrently; the
-scheduler is a single-threaded asyncio loop that supervises them:
+Every shard attempt is a **lease** on a persistent ``repro fleet
+workerd`` daemon of the session's :class:`~repro.fleet.pool.WarmPool`,
+which holds one daemon per shard run at once (``spec.workers``, or the
+``--workers`` override).  The scheduler is a single-threaded asyncio
+loop that supervises the leases:
 
-* a worker that exits nonzero, dies to a signal, overruns the shard
-  timeout, or wedges (heartbeat staleness via
-  :class:`~repro.fleet.heartbeat.HeartbeatMonitor`) fails the attempt
-  with a distinct kind — ``shard-crash`` / ``shard-timeout`` /
-  ``shard-oom`` / ``shard-error``;
-* failed shards retry after an exponential backoff with deterministic
-  per-shard jitter (seeded from the fleet seed + shard id, so two runs
-  of the same spec back off identically);
+* a daemon that dies under a lease, overruns the shard timeout, wedges
+  (heartbeat staleness via
+  :class:`~repro.fleet.heartbeat.HeartbeatMonitor`) or answers with a
+  failed ``done`` frame fails the attempt with a distinct kind —
+  ``shard-crash`` / ``shard-timeout`` / ``shard-oom`` / ``shard-error``;
+* failed shards retry, on a fresh daemon, after an exponential backoff
+  with deterministic per-shard jitter (seeded from the fleet seed +
+  shard id, so two runs of the same spec back off identically);
 * a shard that fails ``max_failures`` times — counted across resumes,
   because failures are manifest records — is **quarantined**: recorded,
   skipped by every later resume, and its partial campaign log is left
   for the results store;
-* every failure is contained: a crashing shard never takes down the
-  scheduler or its sibling shards (process isolation plus a per-task
-  exception firewall).
+* every failure is contained: a crashing shard takes down its own
+  daemon, never the scheduler or its sibling shards (process isolation
+  plus a per-task exception firewall);
+* pool trouble (failed spawns, idle daemon deaths, protocol violations)
+  counts toward the pool's circuit breaker.  Once it opens, no attempt
+  is dispatched any more: in-flight leases finish, and the session
+  returns with the untouched shards still pending, so ``fleet run``
+  exits 2 and ``fleet resume`` continues on a fresh pool.
 
 Crash safety is the manifest's job; the scheduler's job is to only act
 on fsync'd facts — an attempt is recorded started before its outcome
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import json
 import os
 import random
 import signal
@@ -46,7 +52,6 @@ from .manifest import (DONE, FleetManifest, FleetState, POOL_CRASH,
                        SHARD_OOM, SHARD_TIMEOUT, fleet_paths)
 from .pool import ProtocolError, WarmPool, read_frame_async, send_request
 from .spec import ShardSpec
-from .worker import EXIT_INTERNAL, EXIT_OOM
 
 #: how often a waiting supervisor re-checks deadlines and stop requests
 _POLL_S = 0.25
@@ -59,9 +64,6 @@ class FleetScheduler:
     def __init__(self, root, state: FleetState, manifest: FleetManifest,
                  workers: Optional[int] = None,
                  stop_after_shards: Optional[int] = None,
-                 warm_pool: Optional[int] = None,
-                 pool_recycle_tasks: Optional[int] = None,
-                 pool_max_rss: Optional[int] = None,
                  echo=None):
         self.paths = fleet_paths(root)
         self.state = state
@@ -76,20 +78,12 @@ class FleetScheduler:
         self._monitor = HeartbeatMonitor(str(self.paths.heartbeats))
         self._stop = False
         self._terminal = 0
-        self._procs: dict[str, asyncio.subprocess.Process] = {}
-        # CLI flags override the spec's pool policy field by field
-        pp = state.spec.pool
-        if warm_pool is not None:
-            pp = dataclasses.replace(pp, warm=warm_pool)
-        if pool_recycle_tasks is not None:
-            pp = dataclasses.replace(pp, recycle_tasks=pool_recycle_tasks)
-        if pool_max_rss is not None:
-            pp = dataclasses.replace(pp, max_rss_mb=pool_max_rss)
-        self.pool_policy = pp
-        self._pool: Optional[WarmPool] = None
-        if pp.warm > 0:
-            self._pool = WarmPool(self.paths, pp, manifest,
-                                  env=self._worker_env(), echo=self.echo)
+        # one daemon per shard run at once: an attempt never waits for
+        # a daemon another attempt holds
+        self._pool = WarmPool(
+            self.paths, dataclasses.replace(state.spec.pool,
+                                            warm=self.workers),
+            manifest, env=self._worker_env(), echo=self.echo)
 
     # ------------------------------------------------------------------
     def run(self) -> dict:
@@ -106,9 +100,7 @@ class FleetScheduler:
         try:
             results = await asyncio.gather(*tasks, return_exceptions=True)
         finally:
-            await self._kill_outstanding()
-            if self._pool is not None:
-                await self._pool.close()
+            await self._pool.close()
         for shard, res in zip(todo, results):
             if isinstance(res, BaseException):
                 # the per-task firewall failed — record the failure so
@@ -133,7 +125,7 @@ class FleetScheduler:
                     raise
                 except Exception as exc:
                     outcome = (SHARD_ERROR, f"dispatch failed: {exc!r}")
-                if outcome is None:          # stop fired mid-attempt
+                if outcome is None:          # stop fired, or breaker open
                     return
                 kind, payload = outcome
                 if kind == "ok":
@@ -186,36 +178,38 @@ class FleetScheduler:
             self._stop = True
 
     # ------------------------------------------------------------------
-    # one attempt = one supervised worker process
+    # one attempt = one supervised lease on a pool daemon
     # ------------------------------------------------------------------
     def _worker_env(self) -> dict:
-        """The child must resolve ``repro`` exactly as this process does."""
+        """A daemon must resolve ``repro`` exactly as this process does."""
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
         return env
 
-    async def _attempt(self, shard: ShardSpec):
-        """Run one attempt, warm when a pool worker is available.
-
-        Returns ``("ok", result_payload)``, ``(fail_kind, detail)``, or
-        ``None`` when the sweep-level stop fired while this attempt was
-        in flight (the attempt is abandoned without a manifest verdict —
-        exactly what a killed fleet process leaves behind).
-
-        The warm path degrades per attempt: no idle worker, a failed
-        spawn, or an open circuit breaker all fall through to the cold
-        path, so a sweep never stalls on pool trouble.
-        """
-        if self._pool is not None and self._pool.available():
+    async def _acquire(self):
+        """A daemon for the next attempt, or ``None`` once the breaker is
+        open or the stop fired.  While a failed spawn's backoff runs,
+        the attempt waits and asks again."""
+        while self._pool.available() and not self._stop:
             worker = await self._pool.try_acquire()
             if worker is not None:
-                return await self._attempt_warm(shard, worker)
-        return await self._attempt_cold(shard)
+                return worker
+            await asyncio.sleep(_POLL_S)
+        return None
 
-    # -- warm path (leases on pool workers) ----------------------------
+    async def _attempt(self, shard: ShardSpec):
+        """Run one attempt on a leased daemon; supervise the lease.
 
-    async def _attempt_warm(self, shard: ShardSpec, worker):
-        """Run one shard on a leased warm worker; supervise the lease."""
+        Returns ``("ok", result_payload)``, ``(fail_kind, detail)``, or
+        ``None`` when no verdict is due: the sweep-level stop fired
+        while the attempt was in flight (it is abandoned without a
+        manifest verdict — exactly what a killed fleet process leaves
+        behind), or the pool's breaker is open and the shard stays
+        pending for ``fleet resume``.
+        """
+        worker = await self._acquire()
+        if worker is None:
+            return None
         sid = shard.shard_id
         st = self.state.shards[sid]
         self._monitor.clear(sid)
@@ -226,14 +220,14 @@ class FleetScheduler:
         self.manifest.shard_start(sid, st.attempts + 1, worker.pid,
                                   pool_worker=worker.wid)
         self.echo(f"  start       {sid} (attempt {st.attempts + 1}, "
-                  f"warm worker {worker.wid}, pid {worker.pid})")
+                  f"worker {worker.wid}, pid {worker.pid})")
         try:
             send_request(worker, {"type": "run", "shard": sid})
         except OSError as exc:
             await self._pool.reap(worker, POOL_CRASH)
             if self._stop:
                 return None
-            return (SHARD_CRASH, f"warm worker {worker.wid} pipe closed "
+            return (SHARD_CRASH, f"worker {worker.wid} pipe closed "
                                  f"at dispatch: {exc}")
         try:
             outcome = await self._await_lease(sid, worker)
@@ -273,7 +267,7 @@ class FleetScheduler:
                     return (SHARD_TIMEOUT,
                             f"exceeded shard timeout "
                             f"{self.policy.shard_timeout}s (lease expired; "
-                            f"warm worker {worker.wid} killed)")
+                            f"worker {worker.wid} killed)")
                 grace = self.policy.wedge_grace
                 if grace is not None:
                     age = self._monitor.age_of(sid)
@@ -281,7 +275,7 @@ class FleetScheduler:
                         await self._pool.reap(worker, POOL_KILL)
                         return (SHARD_TIMEOUT,
                                 f"wedged: no campaign progress for "
-                                f"{age:.1f}s (grace {grace}s; warm worker "
+                                f"{age:.1f}s (grace {grace}s; worker "
                                 f"{worker.wid} killed)")
                 continue
             except ProtocolError as exc:
@@ -289,13 +283,13 @@ class FleetScheduler:
                 self._pool.protocol_violation(
                     f"worker {worker.wid}: {exc}")
                 return (SHARD_ERROR,
-                        f"warm worker protocol violation: {exc}")
+                        f"worker protocol violation: {exc}")
             if frame is None:
                 # EOF mid-lease: the worker died under the shard —
                 # kill-9, os._exit in the target, kernel OOM-kill...
                 await self._pool.reap(worker, POOL_CRASH)
                 return (SHARD_CRASH,
-                        f"warm worker {worker.wid} died mid-shard "
+                        f"worker {worker.wid} died mid-shard "
                         f"({self._death_detail(worker.proc.returncode)})")
             if frame.get("type") == "done" and frame.get("shard") == sid:
                 return frame
@@ -303,16 +297,16 @@ class FleetScheduler:
             self._pool.protocol_violation(
                 f"worker {worker.wid}: unexpected frame "
                 f"{frame.get('type')!r} for {frame.get('shard')!r}")
-            return (SHARD_ERROR, "warm worker answered with a frame for "
-                                 "the wrong shard")
+            return (SHARD_ERROR, "worker answered with a frame for the "
+                                 "wrong shard")
 
     def _classify_response(self, sid: str, response: dict):
-        """Map a warm worker's response onto the cold outcome kinds."""
+        """Map a daemon's ``done`` frame onto the fleet outcome kinds."""
         status = response.get("status")
         if status == "ok":
             payload = self._read_result(sid)
             if payload is None:
-                return (SHARD_CRASH, "warm worker reported ok without "
+                return (SHARD_CRASH, "worker reported ok without "
                                      "publishing a result")
             return ("ok", payload)
         if status == "oom":
@@ -335,123 +329,8 @@ class FleetScheduler:
             return f"signal {-rc} ({name})"
         return f"exit code {rc}"
 
-    # -- cold path (one disposable process per attempt) ----------------
-
-    async def _attempt_cold(self, shard: ShardSpec):
-        """Run one disposable worker process; classify its death."""
-        sid = shard.shard_id
-        st = self.state.shards[sid]
-        self._monitor.clear(sid)
-        result_path = self.paths.shard_result(sid)
-        try:
-            result_path.unlink()
-        except OSError:
-            pass
-        out = self.paths.shard_output(sid).open("wb")
-        try:
-            proc = await asyncio.create_subprocess_exec(
-                sys.executable, "-m", "repro", "fleet", "worker",
-                "--dir", str(self.paths.root), "--shard", sid,
-                stdout=out, stderr=out, env=self._worker_env())
-        finally:
-            out.close()
-        self._procs[sid] = proc
-        self.manifest.shard_start(sid, st.attempts + 1, proc.pid)
-        self.echo(f"  start       {sid} (attempt {st.attempts + 1}, "
-                  f"pid {proc.pid})")
-        try:
-            rc, timed_out_detail = await self._await_worker(sid, proc)
-        finally:
-            self._procs.pop(sid, None)
-            self._monitor.clear(sid)
-        if self._stop:
-            return None
-        if timed_out_detail is not None:
-            return (SHARD_TIMEOUT, timed_out_detail)
-        return self._classify_exit(sid, rc)
-
-    async def _await_worker(self, sid: str, proc):
-        """Wait for one worker under the shard timeout + wedge detector.
-
-        Returns ``(returncode, None)`` for a natural exit or
-        ``(None, detail)`` after the supervisor killed it.
-        """
-        loop = asyncio.get_running_loop()
-        deadline = (None if self.policy.shard_timeout is None
-                    else loop.time() + self.policy.shard_timeout)
-        while True:
-            try:
-                rc = await asyncio.wait_for(proc.wait(), timeout=_POLL_S)
-                return rc, None
-            except asyncio.TimeoutError:
-                pass
-            if self._stop:
-                await self._kill_proc(proc)
-                return None, None
-            if deadline is not None and loop.time() > deadline:
-                await self._kill_proc(proc)
-                return None, (f"exceeded shard timeout "
-                              f"{self.policy.shard_timeout}s")
-            grace = self.policy.wedge_grace
-            if grace is not None:
-                age = self._monitor.age_of(sid)
-                if age is not None and age > grace:
-                    await self._kill_proc(proc)
-                    return None, (f"wedged: no campaign progress for "
-                                  f"{age:.1f}s (grace {grace}s)")
-
-    def _classify_exit(self, sid: str, rc: int):
-        """Map a worker exit status onto a fleet outcome."""
-        if rc == 0:
-            payload = self._read_result(sid)
-            if payload is None:
-                return (SHARD_CRASH,
-                        "worker exited 0 without publishing a result")
-            return ("ok", payload)
-        if rc < 0:
-            try:
-                name = signal.Signals(-rc).name
-            except ValueError:  # pragma: no cover - unknown signal
-                name = "?"
-            return (SHARD_CRASH, f"worker died to signal {-rc} ({name})")
-        if rc == EXIT_OOM:
-            return (SHARD_OOM,
-                    f"worker exceeded the fleet rlimit "
-                    f"({self.policy.max_rss_mb} MB cap)")
-        if rc == EXIT_INTERNAL:
-            return (SHARD_ERROR,
-                    f"harness exception in worker: {self._stderr_tail(sid)}")
-        return (SHARD_CRASH, f"worker exited with code {rc}")
-
     def _read_result(self, sid: str) -> Optional[dict]:
-        import json
         try:
             return json.loads(self.paths.shard_result(sid).read_text())
         except (OSError, ValueError):
             return None
-
-    def _stderr_tail(self, sid: str, limit: int = 200) -> str:
-        try:
-            text = self.paths.shard_output(sid).read_text(errors="replace")
-        except OSError:
-            return "(no worker output captured)"
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        return lines[-1][-limit:] if lines else "(empty worker output)"
-
-    # ------------------------------------------------------------------
-    async def _kill_proc(self, proc) -> None:
-        try:
-            proc.kill()
-        except ProcessLookupError:
-            pass
-        try:
-            await proc.wait()
-        except Exception:  # pragma: no cover - already reaped
-            pass
-
-    async def _kill_outstanding(self) -> None:
-        """On stop/teardown, no worker may outlive the scheduler — an
-        orphan would race the next resume for the shard's log file."""
-        for proc in list(self._procs.values()):
-            await self._kill_proc(proc)
-        self._procs.clear()

@@ -1,4 +1,4 @@
-"""The CLI-facing fleet façade: run / resume / status / report / worker.
+"""The CLI-facing fleet façade: run / resume / status / report / workerd.
 
 Exit-code contract (shared with ``repro run``):
 
@@ -6,8 +6,8 @@ Exit-code contract (shared with ``repro run``):
 * ``1`` — the sweep completed and found bugs (bugs are the *product* of
   a bug-finding sweep, but scripts still deserve a signal);
 * ``2`` — unrecoverable fleet trouble: shards quarantined, shards still
-  pending after the run (interrupted), a bad spec, or a missing fleet
-  directory.  Automation keying on ``repro fleet run && ...`` never
+  pending after the run (interrupted, or stopped by the pool's circuit
+  breaker), a bad spec, or a missing fleet directory.  Automation keying on ``repro fleet run && ...`` never
   mistakes a half-done or poisoned sweep for a clean one.
 """
 
@@ -54,9 +54,6 @@ def _finish(root, state: FleetState, echo: Echo) -> int:
 def fleet_run(spec_path: Union[str, Path], root: Union[str, Path],
               workers: Optional[int] = None, overwrite: bool = False,
               stop_after_shards: Optional[int] = None,
-              warm_pool: Optional[int] = None,
-              pool_recycle_tasks: Optional[int] = None,
-              pool_max_rss: Optional[int] = None,
               echo: Optional[Echo] = None) -> int:
     """Expand a fleet spec and drive the whole sweep; returns exit code."""
     echo = echo or _echo_to(sys.stdout)
@@ -78,9 +75,6 @@ def fleet_run(spec_path: Union[str, Path], root: Union[str, Path],
         scheduler = FleetScheduler(paths.root, state, manifest,
                                    workers=workers,
                                    stop_after_shards=stop_after_shards,
-                                   warm_pool=warm_pool,
-                                   pool_recycle_tasks=pool_recycle_tasks,
-                                   pool_max_rss=pool_max_rss,
                                    echo=echo)
         scheduler.run()
     return _finish(paths.root, state, echo)
@@ -88,9 +82,6 @@ def fleet_run(spec_path: Union[str, Path], root: Union[str, Path],
 
 def fleet_resume(root: Union[str, Path], workers: Optional[int] = None,
                  stop_after_shards: Optional[int] = None,
-                 warm_pool: Optional[int] = None,
-                 pool_recycle_tasks: Optional[int] = None,
-                 pool_max_rss: Optional[int] = None,
                  echo: Optional[Echo] = None) -> int:
     """Continue a killed sweep: re-run only its incomplete shards."""
     echo = echo or _echo_to(sys.stdout)
@@ -114,9 +105,6 @@ def fleet_resume(root: Union[str, Path], workers: Optional[int] = None,
     with FleetManifest.open_append(fleet_paths(root)) as manifest:
         scheduler = FleetScheduler(root, state, manifest, workers=workers,
                                    stop_after_shards=stop_after_shards,
-                                   warm_pool=warm_pool,
-                                   pool_recycle_tasks=pool_recycle_tasks,
-                                   pool_max_rss=pool_max_rss,
                                    echo=echo)
         scheduler.run()
     return _finish(root, state, echo)
@@ -171,13 +159,7 @@ def fleet_report(root: Union[str, Path], as_json: bool = False,
     return _exit_code(state, report)
 
 
-def fleet_worker(root: Union[str, Path], shard_id: str) -> int:
-    """The worker-process entry (dispatched by the scheduler)."""
-    from .worker import run_shard
-    return run_shard(root, shard_id)
-
-
 def fleet_workerd(root: Union[str, Path], worker_id: int) -> int:
-    """The warm-pool daemon entry (spawned by the scheduler's pool)."""
+    """The pool daemon entry (spawned by the scheduler's pool)."""
     from .worker import serve_pool
     return serve_pool(root, worker_id)

@@ -35,7 +35,7 @@ shard.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Union
 
@@ -173,20 +173,19 @@ class FailurePolicy:
 
 @dataclass(frozen=True)
 class PoolPolicy:
-    """Warm-pool configuration for one sweep (see :mod:`repro.fleet.pool`).
+    """Worker-pool lifecycle for one sweep (see :mod:`repro.fleet.pool`).
 
-    ``warm: 0`` (the default) keeps today's disposable cold-spawn path;
-    ``warm: N`` keeps up to N persistent ``workerd`` daemons serving
-    shards over pipes.  The remaining knobs are lifecycle hygiene: a
-    worker is recycled after ``recycle_tasks`` shards or when its
+    Every shard attempt runs on a persistent ``workerd`` daemon.  A
+    daemon is recycled after ``recycle_tasks`` shards or when its
     post-shard RSS self-check exceeds ``max_rss_mb``, and ``breaker``
     pool-level failures (spawn/handshake failures, idle deaths — not
-    deaths under a shard lease) permanently degrade the sweep to cold
-    spawn.
+    deaths under a shard lease) stop the sweep resumably.
     """
 
-    #: persistent warm workers (0 = cold spawn per attempt)
-    warm: int = 0
+    #: daemons the pool holds: the sweep's shard concurrency
+    #: (``FleetSpec.workers``), never read from a spec — a ``warm`` key
+    #: in an older spec or manifest snapshot is accepted and ignored
+    warm: int = 1
     #: shards one worker serves before being recycled
     recycle_tasks: int = 25
     #: post-shard RSS threshold, MB (None = no RSS-based recycling)
@@ -199,20 +198,19 @@ class PoolPolicy:
     drain_grace: float = 5.0
 
     def as_dict(self) -> dict:
-        return {"warm": self.warm, "recycle_tasks": self.recycle_tasks,
+        return {"recycle_tasks": self.recycle_tasks,
                 "max_rss_mb": self.max_rss_mb, "breaker": self.breaker,
                 "spawn_timeout": self.spawn_timeout,
                 "drain_grace": self.drain_grace}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PoolPolicy":
+        d = {k: v for k, v in d.items() if k != "warm"}
         unknown = set(d) - set(cls().as_dict())
         if unknown:
             raise FleetSpecError(
                 f"unknown pool key(s): {', '.join(sorted(unknown))}")
-        policy = cls(**{k: d[k] for k in d})
-        if policy.warm < 0:
-            raise FleetSpecError("pool.warm must be >= 0")
+        policy = cls(**d)
         if policy.recycle_tasks < 1:
             raise FleetSpecError("pool.recycle_tasks must be >= 1")
         if policy.breaker < 1:
@@ -309,8 +307,11 @@ class FleetSpec:
     config_overrides: dict = field(default_factory=dict)
     failure: FailurePolicy = field(default_factory=FailurePolicy)
     pool: PoolPolicy = field(default_factory=PoolPolicy)
-    #: shards dispatched concurrently
+    #: shards dispatched concurrently, one pool daemon each
     workers: int = 2
+
+    def __post_init__(self):
+        self.pool = replace(self.pool, warm=self.workers)
 
     # ------------------------------------------------------------------
     def expand(self) -> list[ShardSpec]:

@@ -1,24 +1,19 @@
-"""The shard workers: disposable per-attempt processes and warm daemons.
+"""The shard worker: the ``repro fleet workerd`` daemon and the shard
+campaign it runs.
 
-The fleet scheduler launches ``python -m repro fleet worker --dir D
---shard ID`` per attempt.  Process-per-attempt is the isolation the
-supervision era bought at the run level, applied at the campaign level:
-a target that hard-kills its process (``os._exit``, a fatal signal, an
-OOM the kernel answers with SIGKILL) takes down *this* worker only —
-the scheduler classifies the death from the exit status and retries or
-quarantines the shard without disturbing its siblings.
+The fleet scheduler keeps ``python -m repro fleet workerd`` daemons
+alive across shards and leases each one shard at a time over the framed
+pipe protocol (:mod:`repro.fleet.pool`); :func:`serve_pool` is the
+daemon's loop.  Process isolation holds at the daemon level: a target
+that hard-kills its process (``os._exit``, a fatal signal, an OOM the
+kernel answers with SIGKILL) takes down *this* daemon only — the
+scheduler reads the broken pipe as ``shard-crash`` and retries or
+quarantines the shard on a fresh daemon without disturbing its
+siblings.
 
-With a warm pool (``--warm-pool N`` / spec ``pool.warm``), the
-scheduler instead keeps ``python -m repro fleet workerd`` daemons alive
-across shards and feeds them requests over the framed pipe protocol
-(:mod:`repro.fleet.pool`).  :func:`serve_pool` is that daemon's loop;
-the isolation story is unchanged — each shard still runs
-:func:`execute_shard`, a pure function of the shard spec and the fleet
-directory, and a shard that takes the daemon down is classified from
-the broken pipe exactly as a dead cold worker is classified from its
-exit status.
-
-Contract with the scheduler:
+Each shard runs :func:`execute_shard`, a pure function of the shard
+spec and the fleet directory, which is also callable inline (the
+reference the fleet's determinism tests and benchmarks compare with):
 
 * the campaign streams to ``shards/<id>.jsonl`` (mode ``"w"`` — each
   attempt starts the log over, so a retried shard's log is always one
@@ -29,19 +24,15 @@ Contract with the scheduler:
 * every log record touches the shard's heartbeat file (reusing
   :class:`~repro.fleet.heartbeat.HeartbeatMonitor`), which is how the
   scheduler tells "slow but progressing" from "wedged";
-* a finished attempt atomically writes ``shards/<id>.result.json``
-  before exiting 0 — the scheduler treats exit 0 *without* the result
-  file as a crash (the worker died between campaign end and publish);
-* exit codes: 0 = completed (bugs found or not — bugs are data),
-  :data:`EXIT_OOM` = MemoryError under the fleet rlimit,
-  :data:`EXIT_INTERNAL` = harness-level exception (details on stderr).
+* a finished shard atomically writes ``shards/<id>.result.json`` before
+  the daemon answers ``done`` — the scheduler treats an ``ok`` answer
+  *without* the result file as a crash.
 """
 
 from __future__ import annotations
 
 import os
 import signal as signal_module
-import sys
 import traceback
 from pathlib import Path
 from typing import Union
@@ -53,9 +44,7 @@ from .heartbeat import HeartbeatMonitor
 from .manifest import fleet_paths
 from .spec import FleetSpec, ShardSpec, build_strategy
 
-#: worker exit status for a MemoryError under the fleet's rlimit cap
-EXIT_OOM = 86
-#: worker exit status for a harness-level exception
+#: daemon exit status when it cannot come up or loses the protocol
 EXIT_INTERNAL = 70
 
 
@@ -106,9 +95,9 @@ def shard_summary(result) -> dict:
 def execute_shard(root: Union[str, Path], shard: ShardSpec) -> dict:
     """Run one shard campaign to completion and publish its result file.
 
-    Runs in the worker process, but is also callable inline (the
-    benchmark's serial baseline uses it) — it is a pure function of the
-    shard spec plus the fleet directory it writes into.
+    Runs in a pool daemon, but is also callable inline (the fleet's
+    determinism reference) — it is a pure function of the shard spec
+    plus the fleet directory it writes into.
     """
     from ..__main__ import load_target  # lazy: __main__ imports fleet
     from ..core import Compi
@@ -141,27 +130,8 @@ def execute_shard(root: Union[str, Path], shard: ShardSpec) -> dict:
     return payload
 
 
-def run_shard(root: Union[str, Path], shard_id: str) -> int:
-    """Worker-process entry: resolve the shard, run it, map the exit code."""
-    try:
-        spec = load_fleet_spec(root)
-        shard = spec.shard(shard_id)
-        # the whole worker runs under the fleet's address-space cap, so a
-        # runaway shard OOMs alone and classifies as shard-oom
-        apply_rlimits(ResourceLimits(max_rss_mb=spec.failure.max_rss_mb))
-        execute_shard(root, shard)
-        return 0
-    except MemoryError:
-        # keep the handler allocation-free: no traceback rendering
-        sys.stderr.write("shard worker: MemoryError under rlimit cap\n")
-        return EXIT_OOM
-    except Exception:
-        traceback.print_exc()
-        return EXIT_INTERNAL
-
-
 # ----------------------------------------------------------------------
-# the warm daemon (``repro fleet workerd``)
+# the daemon (``repro fleet workerd``)
 
 
 def _rss_kb() -> int:
@@ -191,7 +161,7 @@ def _open_fds() -> int:
 
 
 def serve_pool(root: Union[str, Path], worker_id: int) -> int:
-    """The warm-worker daemon loop: serve shard requests until told not to.
+    """The daemon loop: serve shard requests until told not to.
 
     Protocol (see :mod:`repro.fleet.pool` for the framing): one
     ``hello`` handshake out, then ``run`` requests in and ``done``

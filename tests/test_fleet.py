@@ -9,11 +9,11 @@ from repro.fleet import (FailurePolicy, FleetManifest, FleetSpec,
                          FleetSpecError, ShardSpec, fleet_paths, load_spec,
                          load_state, merge_results, report_text)
 from repro.fleet.manifest import (DONE, PENDING, QUARANTINED, SHARD_CRASH,
-                                  SHARD_OOM, FleetState, ShardState)
+                                  SHARD_ERROR, SHARD_OOM, FleetState,
+                                  ShardState)
 from repro.fleet.results import status_text
 from repro.fleet.service import (fleet_report, fleet_resume, fleet_run,
                                  fleet_status)
-from repro.fleet.worker import EXIT_INTERNAL, run_shard
 
 quiet = lambda msg: None  # noqa: E731 - silence scheduler narration
 
@@ -357,10 +357,44 @@ def test_kill_mid_sweep_then_resume_merges_byte_identical(tmp_path):
     assert clean == resumed
 
 
-def test_worker_entry_maps_unknown_shard_to_internal_error(tmp_path):
+def test_daemon_answers_unknown_shard_with_shard_error(tmp_path):
+    # a run frame for a shard the spec does not have is a harness error:
+    # the daemon answers a done frame with status "error" and stays up
+    import os
+    import subprocess
+    import sys
+
+    from repro.fleet.pool import read_frame, write_frame
+    from repro.fleet.scheduler import FleetScheduler
+
     spec = FleetSpec.from_dict(spec_dict())
     FleetManifest.create(fleet_paths(tmp_path), spec).close()
-    assert run_shard(tmp_path, "no-such-shard") == EXIT_INTERNAL
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "fleet", "workerd",
+         "--dir", str(tmp_path), "--worker", "0"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL, env=env)
+    try:
+        assert read_frame(proc.stdout)["type"] == "hello"
+        write_frame(proc.stdin, {"type": "run", "shard": "no-such-shard"})
+        done = read_frame(proc.stdout)
+        assert (done["type"], done["shard"], done["status"]) == \
+            ("done", "no-such-shard", "error")
+        assert "no-such-shard" in done["detail"]
+        write_frame(proc.stdin, {"type": "exit"})
+        assert proc.wait(timeout=30) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    # ...which the scheduler maps to shard-error
+    state = load_state(tmp_path)
+    sched = FleetScheduler(tmp_path, state, manifest=None, echo=quiet)
+    kind, detail = sched._classify_response("no-such-shard", done)
+    assert kind == SHARD_ERROR
+    assert detail.startswith("harness exception in worker:")
 
 
 def test_retry_backoff_is_deterministic_per_shard(tmp_path):

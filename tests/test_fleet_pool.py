@@ -1,6 +1,7 @@
-"""Tests for the warm worker pool: framing, policy, leases, recycling,
-graceful drain, the circuit breaker, and the determinism contract
-(warm-pool sweeps must merge byte-identical to cold-spawn sweeps)."""
+"""Tests for the worker pool: framing, policy, leases, recycling,
+graceful drain, the circuit breaker, and the determinism contract (a
+sweep on pool daemons must merge byte-identical to the same shards run
+inline through ``execute_shard``)."""
 
 import io
 import json
@@ -14,13 +15,14 @@ import pytest
 
 from repro.fleet import (FleetSpec, FleetSpecError, PoolPolicy, fleet_paths,
                         load_state, merge_results, report_text)
-from repro.fleet.manifest import (DONE, FleetManifest, QUARANTINED,
+from repro.fleet.manifest import (DONE, PENDING, FleetManifest, QUARANTINED,
                                   SHARD_CRASH, SHARD_TIMEOUT)
 from repro.fleet.pool import (MAX_FRAME, PROTO_VERSION, ProtocolError,
                               WarmPool, read_frame, write_frame)
 from repro.fleet.results import status_text
 from repro.fleet.service import clear_heartbeats, fleet_resume, fleet_run
 from repro.fleet.spec import load_spec
+from repro.fleet.worker import execute_shard
 
 quiet = lambda msg: None  # noqa: E731 - silence scheduler narration
 
@@ -41,6 +43,17 @@ def write_spec(tmp_path, d, name="sweep.json"):
     p = tmp_path / name
     p.write_text(json.dumps(d))
     return p
+
+
+def inline_report(root, d):
+    """The reference: the same shards run inline, one after another."""
+    spec = FleetSpec.from_dict(d)
+    with FleetManifest.create(fleet_paths(root), spec) as manifest:
+        for shard in spec.expand():
+            payload = execute_shard(root, shard)
+            manifest.shard_start(shard.shard_id, 1, 0)
+            manifest.shard_done(shard.shard_id, 1, payload["summary"])
+    return merge_results(root, load_state(root))
 
 
 def manifest_records(root, rtype):
@@ -91,21 +104,23 @@ def test_oversized_and_garbage_frames_are_protocol_errors():
 def test_pool_policy_defaults_and_roundtrip():
     spec = FleetSpec.from_dict(spec_dict())
     assert spec.pool == PoolPolicy()
-    assert spec.pool.warm == 0  # cold spawn unless asked for
+    # one daemon per concurrent shard; the count is not a setting
+    assert spec.pool.warm == spec.workers == 1
+    assert FleetSpec.from_dict(spec_dict(workers=3)).pool.warm == 3
+    assert "warm" not in spec.as_dict()["pool"]
     clone = FleetSpec.from_dict(json.loads(json.dumps(spec.as_dict())))
     assert clone.pool == spec.pool
 
 
 def test_pool_policy_parses_and_validates():
+    # an older spec's pool.warm still loads, its value ignored
     spec = FleetSpec.from_dict(spec_dict(
         pool={"warm": 2, "recycle_tasks": 5, "max_rss_mb": 256,
               "breaker": 2}))
     assert (spec.pool.warm, spec.pool.recycle_tasks,
-            spec.pool.max_rss_mb, spec.pool.breaker) == (2, 5, 256, 2)
+            spec.pool.max_rss_mb, spec.pool.breaker) == (1, 5, 256, 2)
     with pytest.raises(FleetSpecError, match="unknown pool key"):
         FleetSpec.from_dict(spec_dict(pool={"hotness": 9}))
-    with pytest.raises(FleetSpecError, match="pool.warm"):
-        FleetSpec.from_dict(spec_dict(pool={"warm": -1}))
     with pytest.raises(FleetSpecError, match="recycle_tasks"):
         FleetSpec.from_dict(spec_dict(pool={"recycle_tasks": 0}))
 
@@ -155,34 +170,25 @@ def test_breaker_record_surfaces_in_state_and_status(tmp_path):
     assert "breaker OPEN" in status_text(state)
 
 
-def test_status_omits_pool_section_for_cold_sweeps(tmp_path):
-    spec_path = write_spec(tmp_path, spec_dict())
-    root = tmp_path / "fleet"
-    assert fleet_run(spec_path, root, echo=quiet) == 0
-    assert "pool:" not in status_text(load_state(root))
-
-
 # ----------------------------------------------------------------------
-# the determinism contract: warm ≡ cold, bytewise
+# the determinism contract: pool sweep ≡ inline, bytewise
 
 
-def test_warm_pool_report_is_byte_identical_to_cold(tmp_path):
+def test_pool_sweep_report_is_byte_identical_to_inline(tmp_path):
     d = spec_dict(matrix={"target": ["seq_demo"],
                           "strategy": ["two-phase", "random-branch"]},
                   workers=2)
     spec_path = write_spec(tmp_path, d)
-    cold_root, warm_root = tmp_path / "cold", tmp_path / "warm"
-    assert fleet_run(spec_path, cold_root, echo=quiet) == 0
-    assert fleet_run(spec_path, warm_root, warm_pool=2, echo=quiet) == 0
-    cold = report_text(merge_results(cold_root, load_state(cold_root)))
-    warm = report_text(merge_results(warm_root, load_state(warm_root)))
-    assert cold == warm
-    # and it really ran warm: spawns recorded, shards carry pool_worker
-    assert load_state(warm_root).pool.spawns >= 1
-    starts = manifest_records(warm_root, "shard-start")
-    assert any("pool_worker" in rec for rec in starts)
-    # warm status shows the pool section
-    assert "pool:" in status_text(load_state(warm_root))
+    root = tmp_path / "fleet"
+    assert fleet_run(spec_path, root, echo=quiet) == 0
+    inline = report_text(inline_report(tmp_path / "inline", d))
+    assert report_text(merge_results(root, load_state(root))) == inline
+    # every attempt ran on a daemon: spawns recorded, leases named
+    state = load_state(root)
+    assert 1 <= state.pool.spawns <= 2
+    starts = manifest_records(root, "shard-start")
+    assert starts and all("pool_worker" in rec for rec in starts)
+    assert "pool:" in status_text(state)
 
 
 def test_one_warm_worker_is_reused_across_shards(tmp_path):
@@ -190,7 +196,7 @@ def test_one_warm_worker_is_reused_across_shards(tmp_path):
                           "strategy": ["two-phase", "random-branch"]})
     spec_path = write_spec(tmp_path, d)
     root = tmp_path / "fleet"
-    assert fleet_run(spec_path, root, warm_pool=1, echo=quiet) == 0
+    assert fleet_run(spec_path, root, echo=quiet) == 0
     state = load_state(root)
     assert state.pool.spawns == 1       # both shards on the same daemon
     assert state.pool.recycled == 0
@@ -204,11 +210,11 @@ def test_one_warm_worker_is_reused_across_shards(tmp_path):
 
 def test_recycle_on_task_budget(tmp_path):
     d = spec_dict(matrix={"target": ["seq_demo"],
-                          "strategy": ["two-phase", "random-branch"]})
+                          "strategy": ["two-phase", "random-branch"]},
+                  pool={"recycle_tasks": 1})
     spec_path = write_spec(tmp_path, d)
     root = tmp_path / "fleet"
-    assert fleet_run(spec_path, root, warm_pool=1, pool_recycle_tasks=1,
-                     echo=quiet) == 0
+    assert fleet_run(spec_path, root, echo=quiet) == 0
     state = load_state(root)
     assert state.counts()[DONE] == 2
     # every shard exhausts the 1-task budget → fresh daemon per shard
@@ -217,13 +223,13 @@ def test_recycle_on_task_budget(tmp_path):
 
 
 def test_recycle_on_rss_self_check(tmp_path):
+    # a 1 MB threshold is always exceeded by a real interpreter's RSS
     d = spec_dict(matrix={"target": ["seq_demo"],
-                          "strategy": ["two-phase", "random-branch"]})
+                          "strategy": ["two-phase", "random-branch"]},
+                  pool={"max_rss_mb": 1})
     spec_path = write_spec(tmp_path, d)
     root = tmp_path / "fleet"
-    # a 1 MB threshold is always exceeded by a real interpreter's RSS
-    assert fleet_run(spec_path, root, warm_pool=1, pool_max_rss=1,
-                     echo=quiet) == 0
+    assert fleet_run(spec_path, root, echo=quiet) == 0
     state = load_state(root)
     assert state.counts()[DONE] == 2
     assert state.pool.recycled == 2
@@ -237,12 +243,12 @@ def test_warm_worker_death_mid_shard_is_shard_crash_not_pool_failure(
         tmp_path):
     # targets/killer os._exit()s the daemon mid-shard: EOF on the lease.
     # The shard is quarantined after its retry budget; the sibling still
-    # completes (on fresh warm workers), and the pool breaker never
-    # opens — a poison shard must not degrade the pool.
+    # completes (on fresh daemons), and the pool breaker never opens —
+    # a poison shard must not stop the sweep.
     d = spec_dict(matrix={"target": ["killer", "seq_demo"]}, workers=2)
     spec_path = write_spec(tmp_path, d)
     root = tmp_path / "fleet"
-    assert fleet_run(spec_path, root, warm_pool=2, echo=quiet) == 2
+    assert fleet_run(spec_path, root, echo=quiet) == 2
     state = load_state(root)
     killer = state.shards["killer--two-phase--np8--s0--fs0"]
     assert killer.status == QUARANTINED
@@ -261,7 +267,7 @@ def test_lease_expiry_kills_worker_and_classifies_shard_timeout(tmp_path):
                            "jitter": 0.0, "shard_timeout": 0.1})
     spec_path = write_spec(tmp_path, d)
     root = tmp_path / "fleet"
-    assert fleet_run(spec_path, root, warm_pool=1, echo=quiet) == 2
+    assert fleet_run(spec_path, root, echo=quiet) == 2
     state = load_state(root)
     (sid,) = state.shard_ids()
     st = state.shards[sid]
@@ -342,35 +348,45 @@ def test_idle_workerd_exits_zero_on_sigterm(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# circuit breaker: repeated pool failures degrade to cold spawn
+# circuit breaker: repeated pool failures stop the sweep resumably
 
 
-def test_breaker_opens_and_sweep_completes_cold(tmp_path, monkeypatch):
+def test_breaker_opens_stops_sweep_and_resume_completes(tmp_path,
+                                                         monkeypatch):
     # every spawn dies before saying hello — a broken pool. The breaker
-    # opens after pool.breaker failures and the sweep still completes,
-    # cold, with the same report a cold sweep produces.
+    # opens after pool.breaker failures; the sweep dispatches nothing
+    # more and exits 2 with its shards pending. Resume starts a fresh
+    # pool and completes the sweep as if it had never stopped.
     monkeypatch.setattr(
         WarmPool, "_argv",
         lambda self, wid: [sys.executable, "-c", "raise SystemExit(1)"])
     monkeypatch.setattr(WarmPool, "SPAWN_BACKOFF_S", 0.0)
     d = spec_dict(matrix={"target": ["seq_demo"],
                           "strategy": ["two-phase", "random-branch"]},
-                  pool={"warm": 1, "breaker": 2})
+                  pool={"breaker": 2})
     spec_path = write_spec(tmp_path, d)
-    cold_root, degraded_root = tmp_path / "cold", tmp_path / "degraded"
-    assert fleet_run(spec_path, degraded_root, echo=quiet) == 0
-    state = load_state(degraded_root)
-    assert state.counts()[DONE] == 2        # no shard was lost
+    root = tmp_path / "fleet"
+    assert fleet_run(spec_path, root, echo=quiet) == 2
+    state = load_state(root)
+    assert state.counts()[PENDING] == 2     # stopped, nothing lost
     assert state.pool.breaker_open
     assert state.pool.spawns == 0
-    (brk,) = manifest_records(degraded_root, "pool-breaker")
+    (brk,) = manifest_records(root, "pool-breaker")
     assert brk["failures"] == 2
-    # degraded-warm ≡ cold, bytewise
+    # no attempt was dispatched, so none is charged to a shard
+    assert manifest_records(root, "shard-start") == []
+    assert "breaker OPEN" in status_text(state)
+
     monkeypatch.undo()
-    assert fleet_run(spec_path, cold_root, warm_pool=0, echo=quiet) == 0
-    assert report_text(merge_results(cold_root, load_state(cold_root))) \
-        == report_text(merge_results(degraded_root,
-                                     load_state(degraded_root)))
+    assert fleet_resume(root, echo=quiet) == 0
+    state = load_state(root)
+    assert state.counts()[DONE] == 2
+    assert not state.pool.breaker_open      # the fresh pool spawned
+    assert "breaker closed" in status_text(state)
+    clean_root = tmp_path / "clean"
+    assert fleet_run(spec_path, clean_root, echo=quiet) == 0
+    assert report_text(merge_results(root, state)) == \
+        report_text(merge_results(clean_root, load_state(clean_root)))
 
 
 # ----------------------------------------------------------------------
@@ -399,6 +415,56 @@ def test_resume_kills_orphan_warm_workers_and_clears_heartbeats(tmp_path):
     assert load_state(root).counts()[DONE] == 2
 
 
+def test_manifest_of_a_cold_spawn_sweep_resumes_on_daemons(tmp_path):
+    # a sweep killed before daemons were the only dispatch path: its
+    # spec snapshot carries pool.warm 0, and its shard-starts name a
+    # worker process but no pool_worker. Resume must kill the orphaned
+    # worker and complete the sweep on daemons, byte-identical to the
+    # same shards run inline.
+    d = spec_dict(matrix={"target": ["seq_demo"],
+                          "strategy": ["two-phase", "random-branch"]})
+    spec = FleetSpec.from_dict(d)
+    first, second = [sh.shard_id for sh in spec.expand()]
+    root = tmp_path / "fleet"
+    fleet_paths(root).ensure()
+    payload = execute_shard(root, spec.shard(first))
+    orphan = subprocess.Popen([sys.executable, "-c",
+                               "import time; time.sleep(600)"])
+    try:
+        snapshot = spec.as_dict()
+        snapshot["pool"]["warm"] = 0
+        records = [
+            {"type": "fleet-meta", "fleet": spec.name, "spec": snapshot,
+             "shards": [first, second]},
+            {"type": "shard-start", "shard": first, "attempt": 1,
+             "pid": orphan.pid, "ts": 0.0},
+            {"type": "shard-done", "shard": first, "attempt": 1,
+             "summary": payload["summary"], "ts": 0.0},
+            {"type": "shard-start", "shard": second, "attempt": 1,
+             "pid": orphan.pid, "ts": 0.0},
+        ]
+        fleet_paths(root).manifest.write_text(
+            "".join(json.dumps(r) + "\n" for r in records))
+        state = load_state(root)
+        assert state.incomplete() == [second]
+        assert state.orphan_pids() == [orphan.pid]
+        assert state.pool.leased == []
+        assert fleet_resume(root, echo=quiet) == 0
+        assert orphan.wait(timeout=30) != 0     # SIGKILLed on resume
+    finally:
+        if orphan.poll() is None:
+            orphan.kill()
+            orphan.wait()
+    state = load_state(root)
+    assert state.counts()[DONE] == 2
+    assert state.pool.spawns == 1
+    (resumed,) = [r for r in manifest_records(root, "shard-start")
+                  if "pool_worker" in r]
+    assert resumed["shard"] == second
+    assert report_text(merge_results(root, state)) == \
+        report_text(inline_report(tmp_path / "inline", d))
+
+
 def test_clear_heartbeats_counts_and_tolerates_missing_dir(tmp_path):
     spec_path = write_spec(tmp_path, spec_dict())
     root = tmp_path / "fleet"
@@ -417,24 +483,21 @@ def test_clear_heartbeats_counts_and_tolerates_missing_dir(tmp_path):
 
 def test_kill9_of_warm_worker_retries_on_fresh_worker_deterministically(
         tmp_path):
-    # run the same one-shard spec cold and warm; in the warm run a
-    # watcher SIGKILLs the daemon as soon as the shard's heartbeat
-    # appears. The shard must retry on a fresh daemon and the merged
-    # report must still be byte-identical to the cold run's.
+    # a watcher SIGKILLs the daemon as soon as the shard's heartbeat
+    # appears. The shard must retry on a fresh daemon, and the merged
+    # report must still be byte-identical to the same shard run inline.
     import threading
     d = spec_dict(shard={"iterations": 300},
                   failure={"max_failures": 3, "backoff": 0.01,
                            "jitter": 0.0})
     spec_path = write_spec(tmp_path, d)
-    cold_root, warm_root = tmp_path / "cold", tmp_path / "warm"
+    root = tmp_path / "fleet"
     # 300 iterations of seq_demo may legitimately find bugs (exit 1);
-    # the bar is that warm matches cold exactly, exit code included
-    cold_rc = fleet_run(spec_path, cold_root, echo=quiet)
-    assert cold_rc in (0, 1)
+    # the bar is that the sweep matches inline exactly, exit code included
+    inline = inline_report(tmp_path / "inline", d)
 
-    paths = fleet_paths(warm_root)
-    (sid,) = [sh.shard_id for sh in
-              FleetSpec.from_dict(d).expand()]
+    paths = fleet_paths(root)
+    (sid,) = [sh.shard_id for sh in FleetSpec.from_dict(d).expand()]
     done = threading.Event()
 
     def assassin():
@@ -442,7 +505,7 @@ def test_kill9_of_warm_worker_retries_on_fresh_worker_deterministically(
         deadline = time.time() + 60
         while time.time() < deadline and not done.is_set():
             if hb.exists():
-                for rec in manifest_records(warm_root, "pool-spawn"):
+                for rec in manifest_records(root, "pool-spawn"):
                     try:
                         os.kill(rec["pid"], signal.SIGKILL)
                     except (ProcessLookupError, PermissionError):
@@ -453,18 +516,16 @@ def test_kill9_of_warm_worker_retries_on_fresh_worker_deterministically(
     killer = threading.Thread(target=assassin)
     killer.start()
     try:
-        assert fleet_run(spec_path, warm_root, warm_pool=1,
-                         echo=quiet) == cold_rc
+        assert fleet_run(spec_path, root, echo=quiet) == \
+            (1 if inline.fleet_bugs else 0)
     finally:
         done.set()
         killer.join()
-    state = load_state(warm_root)
+    state = load_state(root)
     st = state.shards[sid]
     assert st.status == DONE
     assert st.failures >= 1                  # the kill really landed
     assert st.last_kind == SHARD_CRASH
     assert "died mid-shard" in st.last_detail
     assert state.pool.spawns >= 2            # retried on a fresh daemon
-    cold = report_text(merge_results(cold_root, load_state(cold_root)))
-    warm = report_text(merge_results(warm_root, state))
-    assert cold == warm
+    assert report_text(merge_results(root, state)) == report_text(inline)

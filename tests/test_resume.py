@@ -275,6 +275,27 @@ def test_pre_portfolio_checkpoint_is_refused(seq_program, tmp_path, capsys):
     assert type(resumed.scheduler) is PortfolioScheduler
 
 
+@pytest.mark.parametrize("written, resumed", [
+    ((), ("dfs2", "bounded")),
+    (("dfs2", "bounded"), ()),
+], ids=["single-then-portfolio", "portfolio-then-single"])
+def test_resume_config_with_other_scheduler_layout_is_refused(
+        seq_program, tmp_path, written, resumed):
+    """A config whose scheduler layout contradicts the checkpoint's is
+    refused with a ValueError naming both layouts, in either direction."""
+    p = tmp_path / "c.jsonl"
+    with CampaignLog(p) as log:
+        Compi(seq_program, CFG.with_(portfolio=written)).run(iterations=4,
+                                                            log=log)
+    with pytest.raises(ValueError) as exc:
+        Compi.resume(seq_program, p, config=CFG.with_(portfolio=resumed))
+    layouts = ("a single-strategy scheduler",
+               "a portfolio scheduler (arms dfs2, bounded)")
+    saved, asked = layouts if not written else layouts[::-1]
+    assert str(exc.value) == (f"checkpoint holds {saved} state, but the "
+                              f"resume config asks for {asked}")
+
+
 def _retired_class(module: str, name: str) -> type:
     """A stand-in for a class of a deleted module: instances pickle
     under ``module.name``, as the real class's did."""
